@@ -2,7 +2,7 @@
 
 Library layout:
 
-- bernoulli_core: binomial PMF, moments, MGFs, covariance models, sampling
+- bernoulli_core: binomial PMF, moments, MGFs, covariance models
 - entropy: Shannon entropy and the growth/entropy identity
 - utility_kelly: log-growth utility, Kelly point, break-even root, regimes
 - martingale_lab: seeded Monte Carlo wealth paths, drift and Doob checks
@@ -13,12 +13,9 @@ Library layout:
 from .bernoulli_core import (
     BinomialSpec,
     CovarianceModel,
-    GameParams,
-    OutcomeSequence,
     TrialCounts,
     covariance_uv,
     log_mgf,
-    make_game,
     mgf,
     mgf_bruteforce,
     moments,
@@ -26,15 +23,12 @@ from .bernoulli_core import (
     pmf,
     pmf_array,
     pmf_normalization,
-    sample_outcomes,
-    transition_prob,
 )
 from .entropy import (
     EntropyReport,
     LogBase,
     binomial_entropy,
     shannon,
-    shannon_argmax,
     utility_entropy_identity,
 )
 from .errors import (
@@ -70,7 +64,6 @@ from .risk_metrics import (
     fractional_plan,
     tradeoff_table,
     variance_report,
-    volatility_report,
     wealth_approx,
 )
 from .utility_kelly import (

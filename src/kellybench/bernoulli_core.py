@@ -1,9 +1,8 @@
 """Binomial game primitives.
 
-Parameters of the biased binary game, the binomial PMF and its moments,
-covariance models for the win/loss counts, one-step Markov transition
-probabilities, moment-generating functions, and reproducible outcome
-sampling.
+The binomial PMF of the win count and its moments, covariance models for
+the win/loss counts, and moment-generating functions with brute-force
+oracles.
 
 Two covariance models coexist on purpose. The independent model treats the
 win and loss counts as uncorrelated (COV = 0, net-win variance 2Np(1-p));
@@ -17,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
@@ -30,25 +28,6 @@ ENUMERATION_GUARD = 10**6
 
 # exp argument beyond which a float64 overflows
 _EXP_OVERFLOW = 709.0
-
-
-@dataclass(frozen=True)
-class GameParams:
-    """The biased binary game: win probability p, with q and edge derived."""
-
-    p: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p <= 1.0) or math.isnan(self.p):
-            raise DomainError(f"win probability {self.p!r} outside [0, 1]")
-
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
-
-    @property
-    def edge(self) -> float:
-        return self.p - self.q
 
 
 @dataclass(frozen=True)
@@ -80,19 +59,6 @@ class TrialCounts:
             raise DomainError(f"counts U={self.U}, V={self.V} do not sum to N={self.N}")
 
 
-@dataclass(frozen=True)
-class OutcomeSequence:
-    """A realized +1/-1 outcome path with the substream that generated it."""
-
-    outcomes: np.ndarray
-    substream: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        vals = np.unique(self.outcomes)
-        if not np.all(np.isin(vals, (-1, 1))):
-            raise DomainError("outcomes must all be -1 or +1")
-
-
 class CovarianceModel(Enum):
     """How the win and loss counts are assumed to relate."""
 
@@ -105,11 +71,6 @@ class Moments:
     mean: float
     variance: float
     volatility: float
-
-
-def make_game(p: float) -> GameParams:
-    """Build game parameters, rejecting p outside [0, 1]."""
-    return GameParams(p=float(p))
 
 
 def log_pmf_array(spec: BinomialSpec) -> np.ndarray:
@@ -199,17 +160,6 @@ def net_wins_variance(N: int, p: float, model: CovarianceModel) -> float:
     return 4.0 * var_u
 
 
-def transition_prob(params: GameParams, from_wins: int, to_wins: int) -> float:
-    """One-step Markov transition probability of the win count."""
-    if to_wins == from_wins + 1:
-        return params.p
-    if to_wins == from_wins:
-        return params.q
-    raise DomainError(
-        f"impossible one-step transition from {from_wins} to {to_wins} wins"
-    )
-
-
 def log_mgf(spec: BinomialSpec, xi: float) -> float:
     """log E[exp(xi U)] = N log(1 - p + p exp(xi)), safe for large N*xi."""
     if not math.isfinite(xi):
@@ -244,21 +194,3 @@ def mgf_bruteforce(spec: BinomialSpec, xi: float) -> float:
     if total > _EXP_OVERFLOW:
         raise ResourceGuardError("brute-force mgf overflows float64; use log_mgf")
     return math.exp(total)
-
-
-def sample_outcomes(
-    params: GameParams, N: int, substream: int | Sequence[int]
-) -> OutcomeSequence:
-    """Draw N i.i.d. outcomes in {-1, +1}, +1 with probability p.
-
-    The substream identifier fully determines the sequence: the same
-    identifier always reproduces the same outcomes, bit for bit, and
-    distinct identifiers give statistically independent streams.
-    """
-    if N < 1:
-        raise DomainError(f"trial count {N!r} must be at least 1")
-    key = (substream,) if isinstance(substream, (int, np.integer)) else tuple(substream)
-    rng = np.random.default_rng(key)
-    u = rng.random(N)
-    outcomes = np.where(u < params.p, 1, -1).astype(np.int8)
-    return OutcomeSequence(outcomes=outcomes, substream=tuple(int(k) for k in key))

@@ -40,7 +40,6 @@ from . import (
     utility_curve,
 )
 from .errors import KellyBenchError
-from .martingale_lab import expected_wealth_linear
 from .utility_kelly import regime_partition
 from .verify import run_verification
 
@@ -83,55 +82,67 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _apply_config_defaults(args, _top: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _apply_config_defaults(args) -> None:
+    if not args.config:
         return
     # key lookup and defaults come from the subcommand's own parser
     parser = args.sub_parser
-    values = _load_config_file(args.config)
-    known = {a.dest for a in parser._actions} - {"help", "config", "sub_parser"}
-    for key, val in values.items():
+    known = vars(args).keys() - {"command", "config", "fn", "sub_parser"}
+    for key, val in _load_config_file(args.config).items():
         if key not in known:
             raise KellyBenchError(f"unknown config key: {key!r}")
+        default = parser.get_default(key)
+        if isinstance(default, bool):
+            if val.lower() not in _BOOLEANS:
+                raise KellyBenchError(f"config key {key!r} needs a boolean, got {val!r}")
+            value = _BOOLEANS[val.lower()]
+        elif default is None:
+            value = val
+        else:
+            try:
+                value = type(default)(val)
+            except ValueError:
+                raise KellyBenchError(
+                    f"config key {key!r} needs a {type(default).__name__}, got {val!r}"
+                ) from None
         # explicit CLI flags win: only fill values still at their default
-        if getattr(args, key) == parser.get_default(key):
-            default = parser.get_default(key)
-            if isinstance(default, bool):
-                setattr(args, key, val.lower() in ("1", "true", "yes"))
-            elif default is None:
-                setattr(args, key, val)
-            else:
-                setattr(args, key, type(default)(val))
+        if getattr(args, key) == default:
+            setattr(args, key, value)
 
 
-def cmd_analyze(args, parser) -> int:
-    _apply_config_defaults(args, parser)
-    out = _out_dir(args)
+# what a command returns for main to write: (file name, header, rows)
+Table = tuple[str, list[str], list[list]]
+
+
+def cmd_analyze(args, parser) -> tuple[int, list[Table]]:
     p = args.p
     if not (0.0 < p < 1.0):
         parser.error(f"--p must be in (0, 1), got {p}")
 
     fs, us = utility_curve(p, args.grid)
-    _write_csv(out / "utility_curve.csv", ["F", "U"], [[f, u] for f, u in zip(fs, us)])
+    tables = [("utility_curve.csv", ["F", "U"], [[f, u] for f, u in zip(fs, us)])]
 
     if p > 0.5:
         part = regime_partition(p)
-        _write_csv(
-            out / "partition.csv",
+        tables.append((
+            "partition.csv",
             ["p", "f_kelly", "f_star", "f_star_approx", "epsilon"],
             [[part.p, part.f_kelly, part.f_star, part.f_star_approx, part.epsilon]],
-        )
+        ))
     else:
         print("no positive edge: partition omitted", file=sys.stderr)
 
     h = shannon(p).h
     u_at_kelly = utility(kelly_fraction(p), p) if p >= 0.5 else float("nan")
-    _write_csv(
-        out / "entropy.csv",
+    tables.append((
+        "entropy.csv",
         ["p", "H", "log2_minus_H", "utility_at_kelly"],
         [[p, h, math.log(2.0) - h, u_at_kelly]],
-    )
-    return 0
+    ))
+    return 0, tables
 
 
 def _resolve_stake(args, parser) -> float:
@@ -145,9 +156,7 @@ def _resolve_stake(args, parser) -> float:
     return args.stake
 
 
-def cmd_simulate(args, parser) -> int:
-    _apply_config_defaults(args, parser)
-    out = _out_dir(args)
+def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
     F = _resolve_stake(args, parser)
     config = SimConfig(
         w0=args.w0, p=args.p, F=F, N=args.n, paths=args.paths,
@@ -172,57 +181,41 @@ def cmd_simulate(args, parser) -> int:
             float(np.mean(batch.checkpoint_running_max[:, j] >= lam_ref)),
             doob_bound(sub, lam_ref),
         ])
-    _write_csv(
-        out / "trajectories_summary.csv",
-        ["I", "mean_W", "var_W", "mean_M", "empirical_sup_prob", "doob_bound"],
-        rows,
-    )
-
     lam_grid = np.linspace(1.01, 2.0, 20) * config.w0
-    _write_csv(
-        out / "doob.csv",
-        ["lambda", "empirical_sup_prob", "doob_bound"],
-        [[lam, empirical_sup_prob(batch, lam), doob_bound(config, lam)] for lam in lam_grid],
-    )
-
     chk = log_drift_check(batch)
-    _write_csv(
-        out / "drift.csv",
-        ["empirical_drift", "se", "theory", "z_score", "excluded_ruined"],
-        [[chk.empirical_drift, chk.se, chk.theory, chk.z_score, chk.excluded_ruined]],
-    )
-    return 0
+    return 0, [
+        ("trajectories_summary.csv",
+         ["I", "mean_W", "var_W", "mean_M", "empirical_sup_prob", "doob_bound"], rows),
+        ("doob.csv", ["lambda", "empirical_sup_prob", "doob_bound"],
+         [[lam, empirical_sup_prob(batch, lam), doob_bound(config, lam)] for lam in lam_grid]),
+        ("drift.csv", ["empirical_drift", "se", "theory", "z_score", "excluded_ruined"],
+         [[chk.empirical_drift, chk.se, chk.theory, chk.z_score, chk.excluded_ruined]]),
+    ]
 
 
-def cmd_tradeoff(args, parser) -> int:
-    _apply_config_defaults(args, parser)
-    out = _out_dir(args)
+def cmd_tradeoff(args, parser) -> tuple[int, list[Table]]:
     f_grid = [float(tok) for tok in args.f.split(",")]
     rows = tradeoff_table(args.p, f_grid, args.n, args.w0)
-    _write_csv(
-        out / "tradeoff.csv",
+    return 0, [(
+        "tradeoff.csv",
         ["f", "F", "expected_wealth", "volatility", "utility"],
         [[r.f, r.F, r.expected_wealth, r.volatility, r.utility] for r in rows],
-    )
-    return 0
+    )]
 
 
-def cmd_verify(args, parser) -> int:
-    _apply_config_defaults(args, parser)
-    out = _out_dir(args)
+def cmd_verify(args, parser) -> tuple[int, list[Table]]:
     scale = "full" if args.full else "quick"
     results, clean = run_verification(args.seed, scale=scale)
-    _write_csv(
-        out / "errata.csv",
+    for r in results:
+        print(f"{r.verdict:>9}  {r.claim_id}: {r.paper_location}")
+    print(f"verification {'clean' if clean else 'REGRESSION'} ({scale} scale)")
+    return 0 if clean else 1, [(
+        "errata.csv",
         ["claim_id", "paper_location", "paper_value", "oracle_value", "rel_gap", "verdict"],
         [[r.claim_id, r.paper_location.replace(",", ";"),
           _fmt(r.paper_value).replace(",", ";"), _fmt(r.oracle_value).replace(",", ";"),
           r.rel_gap, r.verdict] for r in results],
-    )
-    for r in results:
-        print(f"{r.verdict:>9}  {r.claim_id}: {r.paper_location}")
-    print(f"verification {'clean' if clean else 'REGRESSION'} ({scale} scale)")
-    return 0 if clean else 1
+    )]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,13 +273,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args, parser)
+        _apply_config_defaults(args)
+        code, tables = args.fn(args, parser)
     except NoEdgeError as exc:
         print(f"no-edge: {exc}", file=sys.stderr)
         return 2
     except KellyBenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # written only once the command returned: a failed command leaves no partial set
+    out = _out_dir(args)
+    for name, header, rows in tables:
+        _write_csv(out / name, header, rows)
+    return code
 
 
 if __name__ == "__main__":

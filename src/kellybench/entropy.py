@@ -67,11 +67,6 @@ def shannon(p: float, base: LogBase = LogBase.NATURAL) -> EntropyReport:
     return EntropyReport(h=_rescale(h, base), base=base, source=EntropySource.SINGLE_TRIAL)
 
 
-def shannon_argmax() -> float:
-    """The probability maximising the single-trial entropy."""
-    return 0.5
-
-
 def binomial_entropy_forms(spec: BinomialSpec) -> tuple[float, float]:
     """(direct, expanded) entropy of the win count, in nats.
 

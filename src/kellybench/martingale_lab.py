@@ -4,8 +4,8 @@ Wealth evolves multiplicatively, W(I) = W(I-1) * (1 + F*Z(I)); the product
 form is algebraically identical to the additive random-walk form but avoids
 cancellation. Path k draws from the substream (seed, k), so results are
 bitwise reproducible regardless of chunking, thread count, or evaluation
-order. For large runs full paths are not stored; running maxima and
-checkpoint snapshots are tracked online instead.
+order. Full paths are never kept: final wealth, win counts, running maxima
+and checkpoint snapshots are all a check needs.
 
 The regime statements are verified at the level where they are literally
 true: the drift of log-wealth has the sign of U(F, p). The exact one-step
@@ -32,9 +32,6 @@ from .utility_kelly import utility
 # hard ceiling on paths * N
 MAX_TOTAL_STEPS = 10**9
 
-# full paths are kept only below this many stored values
-_STORE_PATHS_LIMIT = 2_000_000
-
 _CHUNK = 4096
 
 
@@ -49,7 +46,6 @@ class SimConfig:
     paths: int
     seed: int
     checkpoints: tuple[int, ...] = ()
-    store_paths: bool | None = None
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -73,15 +69,10 @@ class SimConfig:
         quarters = {max(1, self.N // 4), max(1, self.N // 2), max(1, 3 * self.N // 4), self.N}
         return tuple(sorted(quarters))
 
-    def resolved_store_paths(self) -> bool:
-        if self.store_paths is not None:
-            return self.store_paths
-        return self.paths * (self.N + 1) <= _STORE_PATHS_LIMIT
-
 
 @dataclass(frozen=True)
 class TrajectoryBatch:
-    """Simulated wealth paths plus the online summaries every check needs."""
+    """Per-path summaries of a simulated batch: all that any check reads."""
 
     config: SimConfig
     final_wealth: np.ndarray  # (paths,)
@@ -91,8 +82,6 @@ class TrajectoryBatch:
     checkpoints: tuple[int, ...]
     checkpoint_wealth: np.ndarray  # (paths, len(checkpoints))
     checkpoint_running_max: np.ndarray  # (paths, len(checkpoints))
-    wealth: np.ndarray | None = None  # (paths, N+1) when stored
-    log_increments: np.ndarray | None = None  # (paths, N) when stored
 
     @property
     def log_growth_per_trial(self) -> np.ndarray:
@@ -136,7 +125,6 @@ class DoobDecomposition:
     martingale_part: np.ndarray  # (paths, len(checkpoints))
     drift: np.ndarray  # (len(checkpoints),)
     growth_factor: float
-    martingale_full: np.ndarray | None = None  # (paths, N+1) when paths stored
 
 
 def _simulate_chunk(config: SimConfig, start: int, stop: int, cps: np.ndarray, out: dict) -> None:
@@ -149,9 +137,6 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int, cps: np.ndarray, o
     z = np.where(u < config.p, 1, -1)
     factors = 1.0 + config.F * z
     sl = slice(start, stop)
-    if out["wealth"] is not None:
-        with np.errstate(divide="ignore"):
-            out["log_inc"][sl] = np.log(factors)
     # fold w0 into the first step so cumprod performs the literal recursion
     # W(I) = W(I-1) * (1 + F Z(I)) with one rounding per step
     factors[:, 0] *= config.w0
@@ -163,9 +148,6 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int, cps: np.ndarray, o
     out["ruined"][sl] = wealth[:, -1] == 0.0
     out["cp_wealth"][sl] = wealth[:, cps - 1]
     out["cp_runmax"][sl] = np.maximum(config.w0, runmax[:, cps - 1])
-    if out["wealth"] is not None:
-        out["wealth"][sl, 0] = config.w0
-        out["wealth"][sl, 1:] = wealth
 
 
 def simulate(config: SimConfig) -> TrajectoryBatch:
@@ -180,7 +162,6 @@ def simulate(config: SimConfig) -> TrajectoryBatch:
             f"{config.paths} paths x {config.N} steps exceeds {MAX_TOTAL_STEPS}"
         )
     cps = np.asarray(config.resolved_checkpoints(), dtype=int)
-    store = config.resolved_store_paths()
     out = {
         "final": np.empty(config.paths),
         "wins": np.empty(config.paths, dtype=np.int64),
@@ -188,8 +169,6 @@ def simulate(config: SimConfig) -> TrajectoryBatch:
         "ruined": np.empty(config.paths, dtype=bool),
         "cp_wealth": np.empty((config.paths, len(cps))),
         "cp_runmax": np.empty((config.paths, len(cps))),
-        "wealth": np.empty((config.paths, config.N + 1)) if store else None,
-        "log_inc": np.empty((config.paths, config.N)) if store else None,
     }
     bounds = [(s, min(s + _CHUNK, config.paths)) for s in range(0, config.paths, _CHUNK)]
     if config.threads == 1:
@@ -211,8 +190,6 @@ def simulate(config: SimConfig) -> TrajectoryBatch:
         checkpoints=tuple(int(c) for c in cps),
         checkpoint_wealth=out["cp_wealth"],
         checkpoint_running_max=out["cp_runmax"],
-        wealth=out["wealth"],
-        log_increments=out["log_inc"],
     )
 
 
@@ -225,29 +202,20 @@ def conditional_growth_factor(p: float, F: float) -> float:
     return p * (1.0 + F) + (1.0 - p) * (1.0 - F)
 
 
-def one_step_martingale_ratio(p: float, F: float) -> float:
-    """Closed-form E[M(I+1)|path]/M(I): equals 1 identically."""
-    g = conditional_growth_factor(p, F)
-    if g == 0.0:
-        raise DegenerateGameError("growth factor is zero; cannot normalize")
-    return (p * (1.0 + F) + (1.0 - p) * (1.0 - F)) / g
-
-
 def expected_wealth_linear(config: SimConfig) -> float:
     """Closed form w0 * (1 + F(2p-1))^N for E[W(N)]."""
     return config.w0 * (1.0 + config.F * (2.0 * config.p - 1.0)) ** config.N
 
 
-def expected_wealth_product(config: SimConfig) -> tuple[float, bool]:
-    """w0 * (1+pF)^N (1-qF)^N with an approximation flag.
+def expected_wealth_product(config: SimConfig) -> float:
+    """Factorized form w0 * (1+pF)^N (1-qF)^N of E[W(N)].
 
-    The factorized form treats the win and loss counts as independent;
-    under the complementary model it deviates from the exact expectation,
-    so the flag is always True and the gap is a reported erratum.
+    It treats the win and loss counts as independent; under the
+    complementary model it deviates from the exact expectation, and the
+    gap is a reported erratum.
     """
     q = 1.0 - config.p
-    value = config.w0 * ((1.0 + config.p * config.F) * (1.0 - q * config.F)) ** config.N
-    return value, True
+    return config.w0 * ((1.0 + config.p * config.F) * (1.0 - q * config.F)) ** config.N
 
 
 def expected_wealth_exponential(config: SimConfig) -> float:
@@ -359,14 +327,9 @@ def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:
     cps = np.asarray(batch.checkpoints, dtype=float)
     mart = batch.checkpoint_wealth * g ** (-cps)
     drift = cfg.w0 * g**cps - cfg.w0
-    full = None
-    if batch.wealth is not None:
-        steps = np.arange(cfg.N + 1, dtype=float)
-        full = batch.wealth * g ** (-steps)
     return DoobDecomposition(
         checkpoints=batch.checkpoints,
         martingale_part=mart,
         drift=drift,
         growth_factor=g,
-        martingale_full=full,
     )

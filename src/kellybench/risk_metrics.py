@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import ApproximationDomainError, DomainError
+from .errors import ApproximationDomainError, DomainError, ResourceGuardError
 from .bernoulli_core import BinomialSpec, TrialCounts, log_pmf_array
 from .utility_kelly import kelly_fraction, utility
 
@@ -33,12 +33,6 @@ class VarianceReport:
     paper_linear: float  # 2 w0^2 N p(1-p), the F^2-free form also published
     oracle_exact: float | None  # exact Var[W(N)], None beyond the guard
     ratio: float | None  # oracle / paper_estimate
-
-
-@dataclass(frozen=True)
-class VolatilityReport:
-    paper: float
-    oracle: float | None
 
 
 @dataclass(frozen=True)
@@ -105,6 +99,18 @@ def _log_wealth_moments(w0: float, N: int, p: float, F: float) -> tuple[float, f
     return m1, m2
 
 
+def _paper_variance(w0: float, N: int, p: float, F: float) -> float:
+    """The published first-order estimate 2 w0^2 N p(1-p) F^2 of Var[W(N)]."""
+    return 2.0 * N * p * (1.0 - p) * F * F * (w0 * w0)
+
+
+def _paper_volatility(w0: float, N: int, p: float, F: float) -> float:
+    """Square root of the published estimate; needs no enumeration oracle."""
+    if not (w0 > 0.0) or N < 1:
+        raise DomainError(f"need w0 > 0 and N >= 1, got w0={w0!r}, N={N!r}")
+    return math.sqrt(_paper_variance(w0, N, p, F))
+
+
 def variance_report(w0: float, N: int, p: float, F: float) -> VarianceReport:
     """Published variance estimates with the exact enumeration alongside."""
     if not (w0 > 0.0):
@@ -112,9 +118,8 @@ def variance_report(w0: float, N: int, p: float, F: float) -> VarianceReport:
     if not (0.0 <= F <= 1.0) or not (0.0 <= p <= 1.0):
         raise DomainError(f"invalid stake {F!r} or probability {p!r}")
     # w0^2 multiplies last so the estimates scale exactly with initial wealth
-    w0sq = w0 * w0
-    base = 2.0 * N * p * (1.0 - p) * w0sq
-    paper_estimate = 2.0 * N * p * (1.0 - p) * F * F * w0sq
+    base = 2.0 * N * p * (1.0 - p) * (w0 * w0)
+    paper_estimate = _paper_variance(w0, N, p, F)
     if N + 1 > VARIANCE_ORACLE_GUARD + 1:
         return VarianceReport(
             paper_estimate=paper_estimate, paper_linear=base, oracle_exact=None, ratio=None
@@ -129,13 +134,6 @@ def variance_report(w0: float, N: int, p: float, F: float) -> VarianceReport:
     return VarianceReport(
         paper_estimate=paper_estimate, paper_linear=base, oracle_exact=oracle, ratio=ratio
     )
-
-
-def volatility_report(w0: float, N: int, p: float, F: float) -> VolatilityReport:
-    """Square roots of the corresponding variance entries."""
-    rep = variance_report(w0, N, p, F)
-    oracle = math.sqrt(rep.oracle_exact) if rep.oracle_exact is not None else None
-    return VolatilityReport(paper=math.sqrt(rep.paper_estimate), oracle=oracle)
 
 
 def fractional_plan(
@@ -154,8 +152,8 @@ def fractional_plan(
         F_frac=ff,
         growth_full=utility(fk, p),
         growth_frac=utility(ff, p),
-        vol_full=volatility_report(w0, N, p, fk).paper,
-        vol_frac=volatility_report(w0, N, p, ff).paper,
+        vol_full=_paper_volatility(w0, N, p, fk),
+        vol_frac=_paper_volatility(w0, N, p, ff),
     )
 
 
@@ -171,8 +169,13 @@ def tradeoff_table(
         if not (0.0 < f <= 1.0):
             raise DomainError(f"multiplier {f!r} outside (0, 1]")
         F = f * fk
-        expected = w0 * (1.0 + F * (2.0 * p - 1.0)) ** N
-        vol = volatility_report(w0, N, p, F).paper
+        try:
+            expected = w0 * (1.0 + F * (2.0 * p - 1.0)) ** N
+        except OverflowError:
+            raise ResourceGuardError(
+                f"expected wealth overflows float64 at N={N}, F={F!r}"
+            ) from None
+        vol = _paper_volatility(w0, N, p, F)
         rows.append(
             TradeoffRow(f=f, F=F, expected_wealth=expected, volatility=vol, utility=utility(F, p))
         )

@@ -5,20 +5,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from kellybench import (
     BinomialSpec,
     CovarianceModel,
     DomainError,
-    GameParams,
-    OutcomeSequence,
     ResourceGuardError,
     TrialCounts,
     covariance_uv,
     log_mgf,
-    make_game,
     mgf,
     mgf_bruteforce,
     moments,
@@ -26,8 +21,6 @@ from kellybench import (
     pmf,
     pmf_array,
     pmf_normalization,
-    sample_outcomes,
-    transition_prob,
 )
 
 
@@ -37,19 +30,6 @@ def exact_pmf(N: int, p: Fraction, alpha: int) -> Fraction:
 
 
 # ---------------------------------------------------------------- params
-
-
-def test_make_game_derives_complement_and_edge():
-    g = make_game(0.52)
-    assert g.p == 0.52
-    assert g.q == 1.0 - 0.52
-    assert g.edge == 0.52 - (1.0 - 0.52)
-
-
-@pytest.mark.parametrize("bad", [-0.1, 1.1, float("nan")])
-def test_make_game_rejects_bad_probability(bad):
-    with pytest.raises(DomainError):
-        make_game(bad)
 
 
 def test_trial_counts_must_sum():
@@ -64,11 +44,6 @@ def test_binomial_spec_rejects_bad_inputs():
         BinomialSpec(N=0, p=0.5)
     with pytest.raises(DomainError):
         BinomialSpec(N=10, p=1.5)
-
-
-def test_outcome_sequence_rejects_other_values():
-    with pytest.raises(DomainError):
-        OutcomeSequence(outcomes=np.array([1, 0, -1]), substream=(0,))
 
 
 # ------------------------------------------------------------------- pmf
@@ -152,19 +127,6 @@ def test_net_wins_variance_under_both_models():
     assert comp == pytest.approx(2.0 * indep, rel=1e-10)
 
 
-# ----------------------------------------------------------- transitions
-
-
-def test_transition_probabilities():
-    g = make_game(0.52)
-    assert transition_prob(g, 4, 5) == g.p
-    assert transition_prob(g, 4, 4) == g.q
-    with pytest.raises(DomainError):
-        transition_prob(g, 4, 6)
-    with pytest.raises(DomainError):
-        transition_prob(g, 4, 3)
-
-
 # ------------------------------------------------------------------ mgf
 
 
@@ -201,38 +163,3 @@ def test_mgf_rejects_nonfinite_argument():
     with pytest.raises(DomainError):
         log_mgf(BinomialSpec(N=4, p=0.5), float("inf"))
 
-
-# ------------------------------------------------------------- sampling
-
-
-def test_sampling_is_bitwise_reproducible():
-    g = make_game(0.52)
-    a = sample_outcomes(g, 1000, (7, 3))
-    b = sample_outcomes(g, 1000, (7, 3))
-    assert np.array_equal(a.outcomes, b.outcomes)
-    assert a.substream == (7, 3)
-    c = sample_outcomes(g, 1000, (7, 4))
-    assert not np.array_equal(a.outcomes, c.outcomes)
-
-
-def test_sampling_degenerate_games():
-    assert np.all(sample_outcomes(make_game(1.0), 100, 0).outcomes == 1)
-    assert np.all(sample_outcomes(make_game(0.0), 100, 0).outcomes == -1)
-
-
-def test_sample_mean_within_clt_band():
-    p, N = 0.52, 100_000
-    seq = sample_outcomes(make_game(p), N, 12345)
-    win_rate = float(np.mean((seq.outcomes + 1) / 2))
-    band = 4.0 * math.sqrt(p * (1 - p) / N)
-    assert abs(win_rate - p) < band
-
-
-@given(
-    p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
-    sub=st.integers(min_value=0, max_value=2**32),
-)
-@settings(max_examples=50, deadline=None)
-def test_sampled_outcomes_are_always_signs(p, sub):
-    seq = sample_outcomes(make_game(p), 16, sub)
-    assert set(np.unique(seq.outcomes)) <= {-1, 1}

@@ -1,5 +1,6 @@
 """End-to-end checks of the kellybench command and its CSV contracts."""
 
+import hashlib
 import math
 
 import pytest
@@ -135,6 +136,19 @@ def test_config_file_rejects_malformed_lines(tmp_path):
     assert main(["analyze", "--p", "0.52", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["verify", "--quick"], "full = ture"),
+    (["analyze", "--p", "0.52"], "grid = many"),
+], ids=["boolean", "integer"])
+def test_config_file_rejects_unreadable_values(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- tradeoff
 
 
@@ -144,6 +158,26 @@ def test_tradeoff_emits_table(tmp_path):
     assert header == ["f", "F", "expected_wealth", "volatility", "utility"]
     assert len(rows) == 4
     assert float(rows[1][1]) == pytest.approx(2.0 / 75.0, abs=1e-15)
+
+
+def test_tradeoff_high_edge_and_overflow(tmp_path, capsys):
+    # the volatility column needs no exact-variance oracle, which overflows here
+    assert main(["tradeoff", "--p", "0.9", "--out", str(tmp_path / "a")]) == 0
+    _, rows = read_rows(tmp_path / "a" / "tradeoff.csv")
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+    # E[W(N)] itself overflows float64: exit 2 with a message, not a traceback
+    assert main(["tradeoff", "--p", "0.9", "--n", "5000", "--out", str(tmp_path / "b")]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", "0.52", "--kelly", "--n", "128", "--paths", "50"],  # < 100 paths
+    ["analyze", "--p", "0.9"],  # series estimate of F* invalid at this edge
+], ids=["simulate", "analyze"])
+def test_failed_command_writes_no_csv(tmp_path, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.glob("*.csv"))
 
 
 # --------------------------------------------------------------- verify
@@ -158,3 +192,7 @@ def test_verify_quick_is_clean(tmp_path, capsys):
     assert verdicts <= {"match", "mismatch"}
     assert "mismatch" in verdicts  # documented inconsistencies are reported, not hidden
     assert "verification clean" in capsys.readouterr().out
+    # refactors of the registry must keep the errata bytes of this seed
+    assert hashlib.sha256((tmp_path / "errata.csv").read_bytes()).hexdigest() == (
+        "d721e88423e6bcf14503b7da5c0d3d678dff49e970cff2f92c1d4345beb2cc7a"
+    )

@@ -12,7 +12,6 @@ from kellybench.entropy import (
     EntropySource,
     LogBase,
     binomial_entropy_forms,
-    shannon_argmax,
     utility_entropy_identity,
 )
 
@@ -37,7 +36,7 @@ def test_shannon_bounds_and_unique_maximum():
     assert np.all(values >= 0.0)
     assert np.all(values <= math.log(2.0) + 1e-15)
     peak = grid[np.argmax(values)]
-    assert peak == pytest.approx(shannon_argmax(), abs=1e-12)
+    assert peak == pytest.approx(0.5, abs=1e-12)
     # the maximum is attained only at 1/2 on this grid
     assert np.count_nonzero(values == values.max()) == 1
 
@@ -45,7 +44,7 @@ def test_shannon_bounds_and_unique_maximum():
 def test_shannon_derivative_vanishes_at_argmax():
     # centered finite difference as an independent check on the peak location
     h = 1e-6
-    star = shannon_argmax()
+    star = 0.5
     slope = (shannon(star + h).h - shannon(star - h).h) / (2.0 * h)
     assert abs(slope) < 1e-8
 

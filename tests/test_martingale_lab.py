@@ -7,7 +7,6 @@ import pytest
 
 from kellybench import (
     ApproximationDomainError,
-    DegenerateGameError,
     DomainError,
     ResourceGuardError,
     SimConfig,
@@ -27,7 +26,6 @@ from kellybench import (
     utility,
     wealth_stats,
 )
-from kellybench.martingale_lab import one_step_martingale_ratio
 
 
 def small_config(**overrides) -> SimConfig:
@@ -75,13 +73,12 @@ def test_simulation_is_bitwise_reproducible():
     assert np.array_equal(a.wins, b.wins)
     assert np.array_equal(a.running_max, b.running_max)
     assert np.array_equal(a.checkpoint_wealth, b.checkpoint_wealth)
-    assert np.array_equal(a.wealth, b.wealth)
 
 
 def test_thread_count_does_not_change_results():
-    serial = simulate(small_config(paths=9000, store_paths=False))
+    serial = simulate(small_config(paths=9000))
     for threads in (2, 4):
-        parallel = simulate(small_config(paths=9000, store_paths=False, threads=threads))
+        parallel = simulate(small_config(paths=9000, threads=threads))
         assert np.array_equal(serial.final_wealth, parallel.final_wealth)
         assert np.array_equal(serial.running_max, parallel.running_max)
         assert np.array_equal(serial.checkpoint_wealth, parallel.checkpoint_wealth)
@@ -97,10 +94,10 @@ def test_seed_changes_results():
 
 
 def test_wealth_follows_exact_multiplicative_recursion():
-    batch = simulate(small_config())
-    w = batch.wealth
-    assert w is not None and w.shape == (500, 65)
-    assert np.all(w[:, 0] == 1000.0)
+    # a checkpoint at every step exposes the whole path W(0..N)
+    batch = simulate(small_config(checkpoints=tuple(range(1, 65))))
+    w = np.hstack([np.full((500, 1), 1000.0), batch.checkpoint_wealth])
+    assert w.shape == (500, 65)
     ratio_up = w[:, :-1] * (1.0 + 0.04)
     ratio_dn = w[:, :-1] * (1.0 - 0.04)
     step_matches = (w[:, 1:] == ratio_up) | (w[:, 1:] == ratio_dn)
@@ -120,12 +117,6 @@ def test_running_max_dominates_checkpoints():
     assert np.all(batch.running_max >= batch.config.w0)
 
 
-def test_large_runs_drop_full_paths_automatically():
-    batch = simulate(small_config(paths=40_000, N=64))
-    assert batch.wealth is None
-    assert batch.log_increments is None
-
-
 # -------------------------------------------------- expectation oracles
 
 
@@ -140,8 +131,7 @@ def test_linear_expectation_matches_enumeration(p, F, N):
 
 def test_product_expectation_deviates_from_oracle():
     cfg = SimConfig(w0=1000.0, p=0.52, F=0.2, N=20, paths=1, seed=0)
-    value, approximate = expected_wealth_product(cfg)
-    assert approximate is True
+    value = expected_wealth_product(cfg)
     oracle = expected_wealth_enumeration(cfg)
     assert value != pytest.approx(oracle, rel=1e-10)
     assert value < oracle  # the factorized form undershoots for F > 0
@@ -159,7 +149,7 @@ def test_exponential_estimate_tracks_linear_form_for_small_stakes():
 def test_enumeration_guard():
     with pytest.raises(ResourceGuardError):
         expected_wealth_enumeration(
-            SimConfig(w0=1.0, p=0.52, F=0.04, N=2_000_000, paths=1, seed=0, store_paths=False)
+            SimConfig(w0=1.0, p=0.52, F=0.04, N=2_000_000, paths=1, seed=0)
         )
 
 
@@ -170,16 +160,13 @@ def test_one_step_growth_factor_and_martingale_ratio():
     g = conditional_growth_factor(0.52, 0.04)
     assert g == pytest.approx(1.0 + 0.04 * (2 * 0.52 - 1.0), abs=1e-15)
     assert g > 1.0  # raw wealth drifts up whenever the edge is positive
-    assert abs(one_step_martingale_ratio(0.52, 0.04) - 1.0) < 1e-15
-    with pytest.raises(DegenerateGameError):
-        one_step_martingale_ratio(0.0, 1.0)
 
 
 def test_drift_sign_matches_utility_in_each_regime():
     p = 0.52
     for F, sign in ((kelly_fraction(p), 1), (f_star(p), 0), (0.2, -1)):
         batch = simulate(
-            SimConfig(w0=1000.0, p=p, F=F, N=400, paths=20_000, seed=5, store_paths=False)
+            SimConfig(w0=1000.0, p=p, F=F, N=400, paths=20_000, seed=5)
         )
         chk = log_drift_check(batch)
         assert abs(chk.z_score) <= 3.0
@@ -198,7 +185,7 @@ def test_drift_check_needs_surviving_paths():
 def test_full_stake_ruin_frequency_and_absorption():
     p, N = 0.52, 20
     batch = simulate(
-        SimConfig(w0=1000.0, p=p, F=1.0, N=N, paths=20_000, seed=9, store_paths=False)
+        SimConfig(w0=1000.0, p=p, F=1.0, N=N, paths=20_000, seed=9)
     )
     expected = ruin_probability_full_stake(p, N)
     se = math.sqrt(expected * (1.0 - expected) / 20_000)
@@ -224,7 +211,7 @@ def test_ruin_probability_closed_form():
 
 
 def test_maximal_inequality_holds_on_lambda_grid():
-    cfg = SimConfig(w0=1000.0, p=0.52, F=0.04, N=100, paths=20_000, seed=3, store_paths=False)
+    cfg = SimConfig(w0=1000.0, p=0.52, F=0.04, N=100, paths=20_000, seed=3)
     batch = simulate(cfg)
     for lam in np.linspace(1.01, 2.0, 20) * cfg.w0:
         assert empirical_sup_prob(batch, float(lam)) <= doob_bound(cfg, float(lam))
@@ -238,7 +225,7 @@ def test_doob_bound_caps_at_one():
 
 
 def test_martingale_part_mean_stays_flat():
-    cfg = SimConfig(w0=1000.0, p=0.52, F=0.04, N=100, paths=20_000, seed=4, store_paths=False)
+    cfg = SimConfig(w0=1000.0, p=0.52, F=0.04, N=100, paths=20_000, seed=4)
     batch = simulate(cfg)
     dec = doob_decompose(batch)
     assert dec.growth_factor == conditional_growth_factor(0.52, 0.04)

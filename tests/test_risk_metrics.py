@@ -16,7 +16,6 @@ from kellybench import (
     tradeoff_table,
     utility,
     variance_report,
-    volatility_report,
     wealth_approx,
 )
 
@@ -117,16 +116,17 @@ def test_variance_homogeneity_in_initial_wealth():
 
 
 def test_volatility_is_square_root_of_variance():
-    rep = variance_report(1000.0, 100, 0.52, 0.04)
-    vol = volatility_report(1000.0, 100, 0.52, 0.04)
-    assert vol.paper == math.sqrt(rep.paper_estimate)
-    assert vol.oracle == math.sqrt(rep.oracle_exact)
+    row = tradeoff_table(0.52, [0.5], 100, 1000.0)[0]
+    assert row.volatility == math.sqrt(variance_report(1000.0, 100, 0.52, row.F).paper_estimate)
+    plan = fractional_plan(0.52, 2.0 / 3.0)
+    rep = variance_report(1000.0, 1000, 0.52, plan.F_frac)
+    assert plan.vol_frac == math.sqrt(rep.paper_estimate)
 
 
 def test_variance_oracle_matches_monte_carlo():
     N, p, F, paths = 50, 0.52, 0.04, 40_000
     rep = variance_report(1000.0, N, p, F)
-    batch = simulate(SimConfig(w0=1000.0, p=p, F=F, N=N, paths=paths, seed=21, store_paths=False))
+    batch = simulate(SimConfig(w0=1000.0, p=p, F=F, N=N, paths=paths, seed=21))
     w = batch.final_wealth
     sample_var = float(np.var(w, ddof=1))
     # standard error of the sample variance from the fourth central moment
