@@ -4,7 +4,7 @@ Library layout:
 
 - bernoulli_core: binomial PMF, moments, MGFs, covariance models
 - entropy: Shannon entropy and the growth/entropy identity
-- utility_kelly: log-growth utility, Kelly point, break-even root, regimes
+- utility_kelly: log-growth utility, Kelly point, break-even root, regime partition
 - martingale_lab: seeded Monte Carlo wealth paths, drift and Doob checks
 - risk_metrics: variance/volatility estimates, fractional Kelly trade-off
 - cli: the `kellybench` command (analyze / simulate / tradeoff / verify)
@@ -20,17 +20,9 @@ from .bernoulli_core import (
     mgf_bruteforce,
     moments,
     net_wins_variance,
-    pmf,
     pmf_array,
-    pmf_normalization,
 )
-from .entropy import (
-    EntropyReport,
-    LogBase,
-    binomial_entropy,
-    shannon,
-    utility_entropy_identity,
-)
+from .entropy import shannon, utility_entropy_identity
 from .errors import (
     ApproximationDomainError,
     DegenerateGameError,
@@ -44,7 +36,6 @@ from .martingale_lab import (
     DoobDecomposition,
     SimConfig,
     TrajectoryBatch,
-    WealthStats,
     conditional_growth_factor,
     doob_bound,
     doob_decompose,
@@ -56,7 +47,6 @@ from .martingale_lab import (
     log_drift_check,
     ruin_probability_full_stake,
     simulate,
-    wealth_stats,
 )
 from .risk_metrics import (
     FractionalKellyPlan,
@@ -67,10 +57,7 @@ from .risk_metrics import (
     wealth_approx,
 )
 from .utility_kelly import (
-    Regime,
-    RegimeLabel,
     RegimePartition,
-    classify,
     f_star,
     f_star_approx,
     kelly_fraction,

@@ -89,18 +89,6 @@ def log_pmf_array(spec: BinomialSpec) -> np.ndarray:
     return _binom.logpmf(np.arange(N + 1), N, p)
 
 
-def pmf(spec: BinomialSpec, alpha: int) -> float:
-    """P(U = alpha) = C(N, alpha) p^alpha (1-p)^(N-alpha), log-space evaluated."""
-    if not (0 <= alpha <= spec.N):
-        raise DomainError(f"count alpha={alpha!r} outside 0..{spec.N}")
-    N, p = spec.N, spec.p
-    if p == 0.0:
-        return 1.0 if alpha == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if alpha == N else 0.0
-    return float(_binom.pmf(alpha, N, p))
-
-
 def pmf_array(spec: BinomialSpec) -> np.ndarray:
     """P(U = alpha) for alpha = 0..N as probabilities (not logs)."""
     N, p = spec.N, spec.p
@@ -109,11 +97,6 @@ def pmf_array(spec: BinomialSpec) -> np.ndarray:
         out[N if p == 1.0 else 0] = 1.0
         return out
     return _binom.pmf(np.arange(N + 1), N, p)
-
-
-def pmf_normalization(spec: BinomialSpec) -> float:
-    """Sum of the PMF over its full support; equals 1 within 1e-12 by contract."""
-    return float(pmf_array(spec).sum())
 
 
 def moments(spec: BinomialSpec) -> Moments:

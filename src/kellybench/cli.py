@@ -88,8 +88,9 @@ _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "
 def _apply_config_defaults(args) -> None:
     if not args.config:
         return
-    # key lookup and defaults come from the subcommand's own parser
+    # keys, defaults and value types come from the subcommand's own parser
     parser = args.sub_parser
+    declared = {action.dest: action.type for action in parser._actions}
     known = vars(args).keys() - {"command", "config", "fn", "sub_parser"}
     for key, val in _load_config_file(args.config).items():
         if key not in known:
@@ -99,14 +100,13 @@ def _apply_config_defaults(args) -> None:
             if val.lower() not in _BOOLEANS:
                 raise KellyBenchError(f"config key {key!r} needs a boolean, got {val!r}")
             value = _BOOLEANS[val.lower()]
-        elif default is None:
-            value = val
         else:
+            convert = declared[key]
             try:
-                value = type(default)(val)
+                value = convert(val)
             except ValueError:
                 raise KellyBenchError(
-                    f"config key {key!r} needs a {type(default).__name__}, got {val!r}"
+                    f"config key {key!r} needs a {convert.__name__}, got {val!r}"
                 ) from None
         # explicit CLI flags win: only fill values still at their default
         if getattr(args, key) == default:
@@ -135,7 +135,7 @@ def cmd_analyze(args, parser) -> tuple[int, list[Table]]:
     else:
         print("no positive edge: partition omitted", file=sys.stderr)
 
-    h = shannon(p).h
+    h = shannon(p)
     u_at_kelly = utility(kelly_fraction(p), p) if p >= 0.5 else float("nan")
     tables.append((
         "entropy.csv",
@@ -171,15 +171,13 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
     rows = []
     for j, cp in enumerate(batch.checkpoints):
         w_cp = batch.checkpoint_wealth[:, j]
-        sub = SimConfig(w0=config.w0, p=config.p, F=F, N=cp, paths=config.paths,
-                       seed=config.seed)
         rows.append([
             cp,
             float(np.mean(w_cp)),
             float(np.var(w_cp, ddof=1)),
             float(np.mean(dec.martingale_part[:, j])) if dec is not None else float("nan"),
             float(np.mean(batch.checkpoint_running_max[:, j] >= lam_ref)),
-            doob_bound(sub, lam_ref),
+            doob_bound(config.w0, config.p, F, cp, lam_ref),
         ])
     lam_grid = np.linspace(1.01, 2.0, 20) * config.w0
     chk = log_drift_check(batch)
@@ -187,7 +185,8 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
         ("trajectories_summary.csv",
          ["I", "mean_W", "var_W", "mean_M", "empirical_sup_prob", "doob_bound"], rows),
         ("doob.csv", ["lambda", "empirical_sup_prob", "doob_bound"],
-         [[lam, empirical_sup_prob(batch, lam), doob_bound(config, lam)] for lam in lam_grid]),
+         [[lam, empirical_sup_prob(batch, lam), doob_bound(config.w0, config.p, F, config.N, lam)]
+          for lam in lam_grid]),
         ("drift.csv", ["empirical_drift", "se", "theory", "z_score", "excluded_ruined"],
          [[chk.empirical_drift, chk.se, chk.theory, chk.z_score, chk.excluded_ruined]]),
     ]

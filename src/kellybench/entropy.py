@@ -10,34 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import DomainError, KellyBenchError, ResourceGuardError
+from .errors import DomainError, ResourceGuardError
 from .bernoulli_core import ENUMERATION_GUARD, BinomialSpec, log_pmf_array, pmf_array
-
-# agreement required between the direct and expanded binomial-entropy forms
-_DUAL_FORM_TOL = 1e-10
-
-
-class LogBase(Enum):
-    NATURAL = "natural"
-    BASE2 = "base2"
-
-
-class EntropySource(Enum):
-    SINGLE_TRIAL = "single_trial"
-    BINOMIAL_WINS = "binomial_U"
-    BINOMIAL_LOSSES = "binomial_V"
-
-
-@dataclass(frozen=True)
-class EntropyReport:
-    h: float
-    base: LogBase
-    source: EntropySource
 
 
 @dataclass(frozen=True)
@@ -53,18 +31,11 @@ def _xlogx(x: float) -> float:
     return 0.0 if x == 0.0 else x * math.log(x)
 
 
-def _rescale(h_nats: float, base: LogBase) -> float:
-    if base is LogBase.BASE2:
-        return h_nats / math.log(2.0)
-    return h_nats
-
-
-def shannon(p: float, base: LogBase = LogBase.NATURAL) -> EntropyReport:
-    """Single-trial entropy -p log p - (1-p) log(1-p)."""
+def shannon(p: float) -> float:
+    """Single-trial entropy -p log p - (1-p) log(1-p), in nats."""
     if not (0.0 <= p <= 1.0) or math.isnan(p):
         raise DomainError(f"probability {p!r} outside [0, 1]")
-    h = -_xlogx(p) - _xlogx(1.0 - p)
-    return EntropyReport(h=_rescale(h, base), base=base, source=EntropySource.SINGLE_TRIAL)
+    return -_xlogx(p) - _xlogx(1.0 - p)
 
 
 def binomial_entropy_forms(spec: BinomialSpec) -> tuple[float, float]:
@@ -96,29 +67,6 @@ def binomial_entropy_forms(spec: BinomialSpec) -> tuple[float, float]:
     return direct, expanded
 
 
-def binomial_entropy(
-    spec: BinomialSpec,
-    base: LogBase = LogBase.NATURAL,
-    source: EntropySource = EntropySource.BINOMIAL_WINS,
-) -> EntropyReport:
-    """Entropy of the binomial win (or loss) count.
-
-    Returns the direct -sum P log P value after asserting agreement with
-    the expanded three-sum form within 1e-10; disagreement is an internal
-    error, never silently returned.
-    """
-    if source is EntropySource.SINGLE_TRIAL:
-        raise DomainError("single-trial entropy comes from shannon(), not a spec")
-    # the loss count is Binomial(N, q): swap the success probability
-    s = spec.p if source is EntropySource.BINOMIAL_WINS else 1.0 - spec.p
-    direct, expanded = binomial_entropy_forms(BinomialSpec(N=spec.N, p=s))
-    if abs(direct - expanded) > _DUAL_FORM_TOL:
-        raise KellyBenchError(
-            f"binomial entropy forms disagree: direct={direct!r}, expanded={expanded!r}"
-        )
-    return EntropyReport(h=_rescale(direct, base), base=base, source=source)
-
-
 def utility_entropy_identity(p: float) -> IdentityCheck:
     """Growth at the Kelly stake versus log(2) - H(p); gap reported, not hidden."""
     if not (0.5 <= p <= 1.0):
@@ -126,5 +74,5 @@ def utility_entropy_identity(p: float) -> IdentityCheck:
     from .utility_kelly import kelly_fraction, utility
 
     lhs = utility(kelly_fraction(p), p)
-    rhs = math.log(2.0) - shannon(p).h
+    rhs = math.log(2.0) - shannon(p)
     return IdentityCheck(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))

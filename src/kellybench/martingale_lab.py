@@ -21,18 +21,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ApproximationDomainError,
-    DegenerateGameError,
-    DomainError,
-    ResourceGuardError,
-)
-from .utility_kelly import utility
+from .errors import ApproximationDomainError, DomainError, ResourceGuardError
+from .utility_kelly import _check_fp, utility
 
 # hard ceiling on paths * N
 MAX_TOTAL_STEPS = 10**9
 
 _CHUNK = 4096
+
+
+def _check_game(w0: float, p: float, F: float, N: int) -> None:
+    """The game every closed form and every run is defined on."""
+    if not (w0 > 0.0):
+        raise DomainError(f"initial wealth {w0!r} must be positive")
+    _check_fp(F, p)
+    if N < 1:
+        raise DomainError(f"trial count {N!r} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -49,14 +53,9 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if not (self.w0 > 0.0):
-            raise DomainError(f"initial wealth {self.w0!r} must be positive")
-        if not (0.0 <= self.p <= 1.0):
-            raise DomainError(f"probability {self.p!r} outside [0, 1]")
-        if not (0.0 <= self.F <= 1.0):
-            raise DomainError(f"stake fraction {self.F!r} outside [0, 1]")
-        if self.N < 1 or self.paths < 1:
-            raise DomainError("N and paths must both be at least 1")
+        _check_game(self.w0, self.p, self.F, self.N)
+        if self.paths < 1:
+            raise DomainError(f"path count {self.paths!r} must be at least 1")
         if self.threads < 1:
             raise DomainError(f"thread count {self.threads!r} must be at least 1")
         for c in self.checkpoints:
@@ -95,17 +94,6 @@ class TrajectoryBatch:
         else:
             out = self.wins * math.log1p(cfg.F) + losses * math.log1p(-cfg.F)
         return out / cfg.N
-
-
-@dataclass(frozen=True)
-class WealthStats:
-    mean_final: float
-    var_final: float
-    vol_final: float
-    mean_log_growth: float
-    se_log_growth: float
-    running_max: np.ndarray
-    n_ruined: int
 
 
 @dataclass(frozen=True)
@@ -170,17 +158,13 @@ def simulate(config: SimConfig) -> TrajectoryBatch:
         "cp_wealth": np.empty((config.paths, len(cps))),
         "cp_runmax": np.empty((config.paths, len(cps))),
     }
-    bounds = [(s, min(s + _CHUNK, config.paths)) for s in range(0, config.paths, _CHUNK)]
-    if config.threads == 1:
-        for s, e in bounds:
-            _simulate_chunk(config, s, e, cps, out)
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            futures = [
-                pool.submit(_simulate_chunk, config, s, e, cps, out) for s, e in bounds
-            ]
-            for f in futures:
-                f.result()
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        futures = [
+            pool.submit(_simulate_chunk, config, s, min(s + _CHUNK, config.paths), cps, out)
+            for s in range(0, config.paths, _CHUNK)
+        ]
+        for f in futures:
+            f.result()
     return TrajectoryBatch(
         config=config,
         final_wealth=out["final"],
@@ -195,69 +179,56 @@ def simulate(config: SimConfig) -> TrajectoryBatch:
 
 def conditional_growth_factor(p: float, F: float) -> float:
     """Exact one-step ratio E[W(I+1) | W(I)] / W(I) = 1 + F(2p - 1)."""
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"probability {p!r} outside [0, 1]")
-    if not (0.0 <= F <= 1.0):
-        raise DomainError(f"stake fraction {F!r} outside [0, 1]")
+    _check_fp(F, p)
     return p * (1.0 + F) + (1.0 - p) * (1.0 - F)
 
 
-def expected_wealth_linear(config: SimConfig) -> float:
-    """Closed form w0 * (1 + F(2p-1))^N for E[W(N)]."""
-    return config.w0 * (1.0 + config.F * (2.0 * config.p - 1.0)) ** config.N
+def expected_wealth_linear(w0: float, p: float, F: float, N: int) -> float:
+    """Closed form w0 * (1 + F(2p-1))^N for E[W(N)].
+
+    A power beyond float64 range is a ResourceGuardError, not an
+    OverflowError escaping to the caller.
+    """
+    _check_game(w0, p, F, N)
+    try:
+        return w0 * (1.0 + F * (2.0 * p - 1.0)) ** N
+    except OverflowError:
+        raise ResourceGuardError(
+            f"expected wealth overflows float64 at N={N}, F={F!r}"
+        ) from None
 
 
-def expected_wealth_product(config: SimConfig) -> float:
+def expected_wealth_product(w0: float, p: float, F: float, N: int) -> float:
     """Factorized form w0 * (1+pF)^N (1-qF)^N of E[W(N)].
 
     It treats the win and loss counts as independent; under the
     complementary model it deviates from the exact expectation, and the
     gap is a reported erratum.
     """
-    q = 1.0 - config.p
-    return config.w0 * ((1.0 + config.p * config.F) * (1.0 - q * config.F)) ** config.N
+    _check_game(w0, p, F, N)
+    q = 1.0 - p
+    return w0 * ((1.0 + p * F) * (1.0 - q * F)) ** N
 
 
-def expected_wealth_exponential(config: SimConfig) -> float:
+def expected_wealth_exponential(w0: float, p: float, F: float, N: int) -> float:
     """Small-stake exponential estimate w0 * exp(N F (p - q))."""
-    if config.F > 0.1:
-        raise ApproximationDomainError(
-            f"exponential estimate requires F <= 0.1, got {config.F!r}"
-        )
-    return config.w0 * math.exp(config.N * config.F * (2.0 * config.p - 1.0))
+    _check_game(w0, p, F, N)
+    if F > 0.1:
+        raise ApproximationDomainError(f"exponential estimate requires F <= 0.1, got {F!r}")
+    return w0 * math.exp(N * F * (2.0 * p - 1.0))
 
 
-def expected_wealth_enumeration(config: SimConfig) -> float:
+def expected_wealth_enumeration(w0: float, p: float, F: float, N: int) -> float:
     """Exact E[W(N)] by summation over the binomial win count; the oracle."""
     from .bernoulli_core import ENUMERATION_GUARD, BinomialSpec, pmf_array
 
-    if config.N + 1 > ENUMERATION_GUARD:
-        raise ResourceGuardError(f"enumeration over {config.N + 1} terms exceeds guard")
-    spec = BinomialSpec(N=config.N, p=config.p)
-    probs = pmf_array(spec)
-    alpha = np.arange(config.N + 1, dtype=float)
-    w = config.w0 * (1.0 + config.F) ** alpha * (1.0 - config.F) ** (config.N - alpha)
+    _check_game(w0, p, F, N)
+    if N + 1 > ENUMERATION_GUARD:
+        raise ResourceGuardError(f"enumeration over {N + 1} terms exceeds guard")
+    probs = pmf_array(BinomialSpec(N=N, p=p))
+    alpha = np.arange(N + 1, dtype=float)
+    w = w0 * (1.0 + F) ** alpha * (1.0 - F) ** (N - alpha)
     return float(np.dot(probs, w))
-
-
-def wealth_stats(batch: TrajectoryBatch) -> WealthStats:
-    """Empirical mean/variance/volatility plus log-growth rate with its SE."""
-    final = batch.final_wealth
-    mean_final = float(np.mean(final))
-    var_final = float(np.var(final, ddof=1)) if final.size > 1 else 0.0
-    rates = batch.log_growth_per_trial[~batch.ruined]
-    n = rates.size
-    mean_rate = float(np.mean(rates)) if n else float("nan")
-    se_rate = float(np.std(rates, ddof=1) / math.sqrt(n)) if n > 1 else float("nan")
-    return WealthStats(
-        mean_final=mean_final,
-        var_final=var_final,
-        vol_final=math.sqrt(var_final),
-        mean_log_growth=mean_rate,
-        se_log_growth=se_rate,
-        running_max=batch.running_max,
-        n_ruined=int(np.count_nonzero(batch.ruined)),
-    )
 
 
 def log_drift_check(batch: TrajectoryBatch) -> DriftCheck:
@@ -294,11 +265,17 @@ def ruin_probability_full_stake(p: float, N: int) -> float:
     return 1.0 - p**N
 
 
-def doob_bound(config: SimConfig, lam: float) -> float:
-    """Maximal-inequality ceiling min(1, E[W(N)] / lambda) on P(sup W >= lambda)."""
+def doob_bound(w0: float, p: float, F: float, N: int, lam: float) -> float:
+    """Maximal-inequality ceiling min(1, max(w0, E[W(N)]) / lambda) on
+    P(max_{I<=N} W(I) >= lambda).
+
+    Doob's E[W(N)] / lambda for the submartingale (p >= 1/2, where
+    E[W(N)] >= w0) and Ville's w0 / lambda for the supermartingale
+    (p < 1/2), so the one expression holds in every regime.
+    """
     if not (lam > 0.0):
         raise DomainError(f"threshold {lam!r} must be positive")
-    return min(1.0, expected_wealth_linear(config) / lam)
+    return min(1.0, max(w0, expected_wealth_linear(w0, p, F, N)) / lam)
 
 
 def empirical_sup_prob(batch: TrajectoryBatch, lam: float) -> float:
@@ -322,8 +299,6 @@ def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:
             "decomposition is scoped to the growth regime (p > 1/2, U(F, p) >= 0)"
         )
     g = conditional_growth_factor(cfg.p, cfg.F)
-    if g == 0.0:
-        raise DegenerateGameError("growth factor is zero; cannot normalize")
     cps = np.asarray(batch.checkpoints, dtype=float)
     mart = batch.checkpoint_wealth * g ** (-cps)
     drift = cfg.w0 * g**cps - cfg.w0

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import ApproximationDomainError, DomainError, ResourceGuardError
+from .errors import ApproximationDomainError, DomainError
 from .bernoulli_core import BinomialSpec, TrialCounts, log_pmf_array
+from .martingale_lab import _check_game, expected_wealth_linear
 from .utility_kelly import kelly_fraction, utility
 
 # enumeration oracle cap for the variance report
@@ -27,10 +28,9 @@ WEALTH_APPROX_MAX_F = 0.2
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """Published estimates next to the exact enumeration value."""
+    """The published estimate next to the exact enumeration value."""
 
     paper_estimate: float  # 2 w0^2 N p(1-p) F^2
-    paper_linear: float  # 2 w0^2 N p(1-p), the F^2-free form also published
     oracle_exact: float | None  # exact Var[W(N)], None beyond the guard
     ratio: float | None  # oracle / paper_estimate
 
@@ -101,29 +101,22 @@ def _log_wealth_moments(w0: float, N: int, p: float, F: float) -> tuple[float, f
 
 def _paper_variance(w0: float, N: int, p: float, F: float) -> float:
     """The published first-order estimate 2 w0^2 N p(1-p) F^2 of Var[W(N)]."""
+    # w0^2 multiplies last so the estimate scales exactly with initial wealth
     return 2.0 * N * p * (1.0 - p) * F * F * (w0 * w0)
 
 
 def _paper_volatility(w0: float, N: int, p: float, F: float) -> float:
     """Square root of the published estimate; needs no enumeration oracle."""
-    if not (w0 > 0.0) or N < 1:
-        raise DomainError(f"need w0 > 0 and N >= 1, got w0={w0!r}, N={N!r}")
+    _check_game(w0, p, F, N)
     return math.sqrt(_paper_variance(w0, N, p, F))
 
 
 def variance_report(w0: float, N: int, p: float, F: float) -> VarianceReport:
-    """Published variance estimates with the exact enumeration alongside."""
-    if not (w0 > 0.0):
-        raise DomainError(f"initial wealth {w0!r} must be positive")
-    if not (0.0 <= F <= 1.0) or not (0.0 <= p <= 1.0):
-        raise DomainError(f"invalid stake {F!r} or probability {p!r}")
-    # w0^2 multiplies last so the estimates scale exactly with initial wealth
-    base = 2.0 * N * p * (1.0 - p) * (w0 * w0)
+    """Published variance estimate with the exact enumeration alongside."""
+    _check_game(w0, p, F, N)
     paper_estimate = _paper_variance(w0, N, p, F)
     if N + 1 > VARIANCE_ORACLE_GUARD + 1:
-        return VarianceReport(
-            paper_estimate=paper_estimate, paper_linear=base, oracle_exact=None, ratio=None
-        )
+        return VarianceReport(paper_estimate=paper_estimate, oracle_exact=None, ratio=None)
     if F == 0.0 or p in (0.0, 1.0):
         oracle = 0.0
     else:
@@ -131,9 +124,7 @@ def variance_report(w0: float, N: int, p: float, F: float) -> VarianceReport:
         # Var = E[W^2] - E[W]^2 = E[W]^2 * expm1(log E[W^2] - 2 log E[W])
         oracle = math.exp(2.0 * m1) * math.expm1(m2 - 2.0 * m1)
     ratio = oracle / paper_estimate if paper_estimate > 0.0 else None
-    return VarianceReport(
-        paper_estimate=paper_estimate, paper_linear=base, oracle_exact=oracle, ratio=ratio
-    )
+    return VarianceReport(paper_estimate=paper_estimate, oracle_exact=oracle, ratio=ratio)
 
 
 def fractional_plan(
@@ -169,14 +160,11 @@ def tradeoff_table(
         if not (0.0 < f <= 1.0):
             raise DomainError(f"multiplier {f!r} outside (0, 1]")
         F = f * fk
-        try:
-            expected = w0 * (1.0 + F * (2.0 * p - 1.0)) ** N
-        except OverflowError:
-            raise ResourceGuardError(
-                f"expected wealth overflows float64 at N={N}, F={F!r}"
-            ) from None
-        vol = _paper_volatility(w0, N, p, F)
-        rows.append(
-            TradeoffRow(f=f, F=F, expected_wealth=expected, volatility=vol, utility=utility(F, p))
-        )
+        rows.append(TradeoffRow(
+            f=f,
+            F=F,
+            expected_wealth=expected_wealth_linear(w0, p, F, N),
+            volatility=_paper_volatility(w0, N, p, F),
+            utility=utility(F, p),
+        ))
     return rows

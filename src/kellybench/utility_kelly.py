@@ -3,16 +3,14 @@
 The utility U(F, p) = p log(1+F) + q log(1-F) is the expected per-trial
 log growth of wealth when a fraction F is staked each trial. This module
 houses its derivatives, the Kelly critical point F_K = 2p - 1, the
-break-even root F* of U = 0, the small-stake series approximation of F*,
-the sign-based regime classification of the unit interval, and the
-dominance of higher win probability.
+break-even root F* of U = 0, the small-stake series approximation of F*, and
+the dominance of higher win probability.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -27,28 +25,12 @@ from .errors import (
 # guard distance from the F = 1 singularity for bracketing and curves
 DELTA = 1e-12
 
-# default |U| tolerance for the break-even root
+# |U| tolerance for the break-even root
 ROOT_TOL = 1e-12
-
-# default dead-band for sign classification; U is computed to ~1e-15
-# relative accuracy and the root is located to 1e-12
-ZERO_TOL = 1e-10
 
 _MAX_BISECT = 200
 
 NEG_INFINITY = float("-inf")
-
-
-class Regime(Enum):
-    GROWTH_SUBMARTINGALE = "growth_submartingale"
-    BREAK_EVEN_MARTINGALE = "break_even_martingale"
-    DECAY_SUPERMARTINGALE = "decay_supermartingale"
-
-
-@dataclass(frozen=True)
-class RegimeLabel:
-    tag: Regime
-    utility_value: float
 
 
 @dataclass(frozen=True)
@@ -121,14 +103,12 @@ def kelly_fraction(p: float) -> float:
     return p - (1.0 - p)
 
 
-def f_star(p: float, tol: float = ROOT_TOL) -> float:
+def f_star(p: float) -> float:
     """Break-even stake: the root of U(F, p) = 0 in (F_K, 1), by bisection.
 
     Bisection is guaranteed by the bracket U(F_K + delta) > 0 and
     U(1 - delta) < 0; Newton is avoided because U' blows up near F = 1.
     """
-    if tol <= 0.0:
-        raise DomainError(f"tolerance {tol!r} must be positive")
     if p <= 0.5:
         raise NoEdgeError(f"break-even root requires p > 1/2, got {p!r}")
     if p >= 1.0:
@@ -146,13 +126,13 @@ def f_star(p: float, tol: float = ROOT_TOL) -> float:
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         um = utility(mid, p)
-        if abs(um) <= tol:
+        if abs(um) <= ROOT_TOL:
             return mid
         if um > 0.0:
             lo = mid
         else:
             hi = mid
-    raise KellyBenchError(f"bisection failed to reach |U| <= {tol} for p={p!r}")
+    raise KellyBenchError(f"bisection failed to reach |U| <= {ROOT_TOL} for p={p!r}")
 
 
 def f_star_approx(p: float) -> SeriesApprox:
@@ -166,18 +146,6 @@ def f_star_approx(p: float) -> SeriesApprox:
         )
     epsilon = fk**3 / (0.375 - fk * fk)
     return SeriesApprox(approx=2.0 * fk + epsilon, epsilon=epsilon)
-
-
-def classify(F: float, p: float, zero_tol: float = ZERO_TOL) -> RegimeLabel:
-    """Label the stake by the sign of the log-wealth drift U(F, p)."""
-    u = utility(F, p)
-    if u > zero_tol:
-        tag = Regime.GROWTH_SUBMARTINGALE
-    elif u < -zero_tol:
-        tag = Regime.DECAY_SUPERMARTINGALE
-    else:
-        tag = Regime.BREAK_EVEN_MARTINGALE
-    return RegimeLabel(tag=tag, utility_value=u)
 
 
 def utility_dominance(F: float, p: float, p_hat: float) -> float:
@@ -202,12 +170,12 @@ def utility_curve(p: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     return fs, us
 
 
-def regime_partition(p: float, tol: float = ROOT_TOL) -> RegimePartition:
+def regime_partition(p: float) -> RegimePartition:
     """All critical fractions of the game in one report."""
     series = f_star_approx(p)
     return RegimePartition(
         f_kelly=kelly_fraction(p),
-        f_star=f_star(p, tol=tol),
+        f_star=f_star(p),
         f_star_approx=series.approx,
         epsilon=series.epsilon,
         p=p,

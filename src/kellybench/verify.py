@@ -124,8 +124,8 @@ def _claim_net_wins_variance(scale: Scale, seed: int) -> tuple:
 
 
 def _claim_entropy_max(scale: Scale, seed: int) -> tuple:
-    h = shannon(0.5).h
-    d = (shannon(0.5 + 1e-6).h - shannon(0.5 - 1e-6).h) / 2e-6
+    h = shannon(0.5)
+    d = (shannon(0.5 + 1e-6) - shannon(0.5 - 1e-6)) / 2e-6
     gap = max(_rel(h, math.log(2.0)), abs(d))
     return math.log(2.0), h, gap, gap <= 1e-9
 
@@ -183,13 +183,13 @@ def _claim_sign_partition(scale: Scale, seed: int) -> tuple:
 
 
 def _claim_linear_expectation(scale: Scale, seed: int) -> tuple:
-    cfg = SimConfig(w0=1000.0, p=0.52, F=0.04, N=20, paths=1, seed=seed)
-    return _close(expected_wealth_linear(cfg), expected_wealth_enumeration(cfg), 1e-10)
+    game = (1000.0, 0.52, 0.04, 20)
+    return _close(expected_wealth_linear(*game), expected_wealth_enumeration(*game), 1e-10)
 
 
 def _claim_product_expectation(scale: Scale, seed: int) -> tuple:
-    cfg = SimConfig(w0=1000.0, p=0.52, F=0.2, N=20, paths=1, seed=seed)
-    return _close(expected_wealth_product(cfg), expected_wealth_enumeration(cfg), 1e-10)
+    game = (1000.0, 0.52, 0.2, 20)
+    return _close(expected_wealth_product(*game), expected_wealth_enumeration(*game), 1e-10)
 
 
 def _claim_pqf2_example(scale: Scale, seed: int) -> tuple:
@@ -198,8 +198,8 @@ def _claim_pqf2_example(scale: Scale, seed: int) -> tuple:
 
 
 def _claim_exponential_growth(scale: Scale, seed: int) -> tuple:
-    cfg = SimConfig(w0=1000.0, p=0.52, F=0.04, N=100, paths=1, seed=seed)
-    return _close(expected_wealth_exponential(cfg), expected_wealth_linear(cfg), 0.01)
+    game = (1000.0, 0.52, 0.04, 100)
+    return _close(expected_wealth_exponential(*game), expected_wealth_linear(*game), 0.01)
 
 
 def _claim_growth_factor_polynomials(scale: Scale, seed: int) -> tuple:
@@ -251,7 +251,8 @@ def _claim_doob_inequality(scale: Scale, seed: int) -> tuple:
     lam_grid = np.linspace(1.01, 2.0, 20)
     worst = -math.inf
     for lam in lam_grid:
-        worst = max(worst, empirical_sup_prob(batch, lam) - doob_bound(cfg, lam))
+        bound = doob_bound(cfg.w0, cfg.p, cfg.F, cfg.N, lam)
+        worst = max(worst, empirical_sup_prob(batch, lam) - bound)
     return "<= 0", worst, 0.0, worst <= 0.0
 
 

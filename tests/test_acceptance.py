@@ -55,7 +55,7 @@ def test_criterion_02_entropy_identity():
     gaps = []
     for p in np.linspace(0.5 + 1e-6, 1.0 - 1e-6, 1000):
         lhs = utility(kelly_fraction(float(p)), float(p))
-        rhs = math.log(2.0) - shannon(float(p)).h
+        rhs = math.log(2.0) - shannon(float(p))
         gaps.append(abs(lhs - rhs))
     worst = max(gaps)
     report(2, "growth/entropy identity over 1000 probabilities", worst < 1e-12,
@@ -78,12 +78,11 @@ def test_criterion_04_exact_expectation():
     for p in (0.51, 0.52, 0.6):
         for F in (0.02, 0.04, 0.2):
             for N in (5, 10, 20):
-                cfg = SimConfig(w0=1000.0, p=p, F=F, N=N, paths=1, seed=0)
-                oracle = expected_wealth_enumeration(cfg)
-                linear = expected_wealth_linear(cfg)
+                oracle = expected_wealth_enumeration(1000.0, p, F, N)
+                linear = expected_wealth_linear(1000.0, p, F, N)
                 worst = max(worst, abs(linear - oracle) / oracle)
-    cfg = SimConfig(w0=1000.0, p=0.52, F=0.2, N=20, paths=1, seed=0)
-    product_gap = abs(expected_wealth_product(cfg) - expected_wealth_enumeration(cfg))
+    game = (1000.0, 0.52, 0.2, 20)
+    product_gap = abs(expected_wealth_product(*game) - expected_wealth_enumeration(*game))
     report(4, "linear expectation matches enumeration oracle", worst < 1e-10,
            f"max rel gap {worst:.2e}; product-form gap {product_gap:.3g} reported")
 
@@ -126,7 +125,8 @@ def test_criterion_07_doob_maximal_inequality():
     batch = simulate(cfg)
     lam_grid = np.linspace(1.01, 2.0, 20) * cfg.w0
     violations = sum(
-        empirical_sup_prob(batch, float(lam)) > doob_bound(cfg, float(lam))
+        empirical_sup_prob(batch, float(lam))
+        > doob_bound(cfg.w0, cfg.p, cfg.F, cfg.N, float(lam))
         for lam in lam_grid
     )
     report(7, "maximal inequality on 20-point threshold grid", violations == 0,

@@ -18,9 +18,7 @@ from kellybench import (
     mgf_bruteforce,
     moments,
     net_wins_variance,
-    pmf,
     pmf_array,
-    pmf_normalization,
 )
 
 
@@ -52,44 +50,28 @@ def test_binomial_spec_rejects_bad_inputs():
 @pytest.mark.parametrize("p_rat", [Fraction(13, 25), Fraction(1, 2), Fraction(3, 5)])
 def test_pmf_matches_exact_rational_oracle(p_rat):
     N = 20
-    spec = BinomialSpec(N=N, p=float(p_rat))
+    probs = pmf_array(BinomialSpec(N=N, p=float(p_rat)))
+    assert probs.shape == (N + 1,)
     for alpha in range(N + 1):
         truth = float(exact_pmf(N, p_rat, alpha))
-        assert pmf(spec, alpha) == pytest.approx(truth, rel=1e-13)
+        assert probs[alpha] == pytest.approx(truth, rel=1e-13)
 
 
 def test_pmf_single_trial_is_exact():
-    spec = BinomialSpec(N=1, p=0.52)
-    assert pmf(spec, 1) == 0.52
-    assert pmf(spec, 0) == 1.0 - 0.52
-
-
-def test_pmf_rejects_count_outside_support():
-    spec = BinomialSpec(N=5, p=0.5)
-    with pytest.raises(DomainError):
-        pmf(spec, 6)
-    with pytest.raises(DomainError):
-        pmf(spec, -1)
+    probs = pmf_array(BinomialSpec(N=1, p=0.52))
+    assert probs[1] == 0.52
+    assert probs[0] == 1.0 - 0.52
 
 
 def test_pmf_degenerate_endpoints():
-    assert pmf(BinomialSpec(N=8, p=0.0), 0) == 1.0
-    assert pmf(BinomialSpec(N=8, p=0.0), 3) == 0.0
-    assert pmf(BinomialSpec(N=8, p=1.0), 8) == 1.0
+    assert list(pmf_array(BinomialSpec(N=8, p=0.0))) == [1.0] + [0.0] * 8
+    assert list(pmf_array(BinomialSpec(N=8, p=1.0))) == [0.0] * 8 + [1.0]
 
 
 @pytest.mark.parametrize("N", [1, 10, 100, 1000, 10_000])
 def test_pmf_normalizes_across_probability_grid(N):
     for p in np.arange(0.01, 1.0, 0.07):
-        assert abs(pmf_normalization(BinomialSpec(N=N, p=float(p))) - 1.0) < 1e-12
-
-
-def test_pmf_array_agrees_with_scalar_pmf():
-    spec = BinomialSpec(N=12, p=0.3)
-    arr = pmf_array(spec)
-    assert arr.shape == (13,)
-    for alpha in range(13):
-        assert arr[alpha] == pmf(spec, alpha)
+        assert abs(float(pmf_array(BinomialSpec(N=N, p=float(p))).sum()) - 1.0) < 1e-12
 
 
 # --------------------------------------------------------------- moments

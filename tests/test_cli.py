@@ -77,6 +77,20 @@ def test_simulate_emits_summary_doob_and_drift(tmp_path):
     assert math.isfinite(float(drift["empirical_drift"]))
 
 
+def test_simulate_doob_bound_holds_for_supermartingale(tmp_path):
+    # p < 1/2: E[W(N)]/lambda is ~4e-5 here, yet most paths pass 1.01 w0;
+    # Ville's w0/lambda is the bound that holds
+    argv = ["simulate", "--p", "0.45", "--stake", "0.1", "--n", "1000", "--paths", "2000"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    _, rows = read_rows(tmp_path / "doob.csv")
+    for lam, sup, bound in ((float(a), float(b), float(c)) for a, b, c in rows):
+        assert sup <= bound == min(1.0, 1000.0 / lam)
+    header, rows = read_rows(tmp_path / "trajectories_summary.csv")
+    for row in rows:
+        r = dict(zip(header, row))
+        assert float(r["empirical_sup_prob"]) <= float(r["doob_bound"])
+
+
 def test_simulate_is_byte_deterministic_across_threads(tmp_path):
     outs = [tmp_path / name for name in ("a", "b", "c")]
     main(["simulate", *SIM_ARGS, "--out", str(outs[0])])
@@ -136,10 +150,28 @@ def test_config_file_rejects_malformed_lines(tmp_path):
     assert main(["analyze", "--p", "0.52", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("stake", "0.04"), ("fraction", "0.5"), ("lam", "1200"),
+])
+def test_config_file_values_take_the_option_type(tmp_path, key, value):
+    # options without a default are read with the type their flag declares
+    argv = ["simulate", "--p", "0.52", "--n", "20", "--paths", "200", "--seed", "3"]
+    if key == "lam":
+        argv.append("--kelly")
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main([*argv, "--config", str(cfg), "--out", str(a)]) == 0
+    assert main([*argv, f"--{key}", value, "--out", str(b)]) == 0
+    for name in ("trajectories_summary.csv", "doob.csv", "drift.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 @pytest.mark.parametrize("argv, line", [
     (["verify", "--quick"], "full = ture"),
     (["analyze", "--p", "0.52"], "grid = many"),
-], ids=["boolean", "integer"])
+    (["simulate", "--p", "0.52", "--kelly", "--n", "20", "--paths", "200"], "lam = abc"),
+], ids=["boolean", "integer", "float"])
 def test_config_file_rejects_unreadable_values(tmp_path, capsys, argv, line):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(line + "\n")
@@ -174,7 +206,8 @@ def test_tradeoff_high_edge_and_overflow(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--p", "0.52", "--kelly", "--n", "128", "--paths", "50"],  # < 100 paths
     ["analyze", "--p", "0.9"],  # series estimate of F* invalid at this edge
-], ids=["simulate", "analyze"])
+    ["simulate", "--p", "0.9", "--stake", "0.8", "--n", "5000", "--paths", "200"],  # E[W] overflows
+], ids=["simulate", "analyze", "simulate-overflow"])
 def test_failed_command_writes_no_csv(tmp_path, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.glob("*.csv"))
@@ -196,3 +229,30 @@ def test_verify_quick_is_clean(tmp_path, capsys):
     assert hashlib.sha256((tmp_path / "errata.csv").read_bytes()).hexdigest() == (
         "d721e88423e6bcf14503b7da5c0d3d678dff49e970cff2f92c1d4345beb2cc7a"
     )
+
+
+# SHA-256 of every CSV each command writes; a refactor must keep these bytes
+PINNED_CSVS = {
+    "analyze": (["analyze", "--p", "0.52"], {
+        "entropy.csv": "a6e759b75b0e46ad9248bc4be44d0d427f85237681c09edb01140a1bfad83377",
+        "partition.csv": "4b0059e35c39757933ff232a64a28ca691a923551e01ca423698171aa82a0d17",
+        "utility_curve.csv": "945e4dfd4ac3a5874e7725110d207cb44c90408b7a8d8bdc42d81e167ab58ebb",
+    }),
+    "tradeoff": (["tradeoff", "--p", "0.52"], {
+        "tradeoff.csv": "03f982d97056dbf8f9dbe88e21889ada2b9aa21ff992653e6607b87b8a1ef34e",
+    }),
+    "simulate": (["simulate", *SIM_ARGS], {
+        "doob.csv": "968ce72f8a0cfa11ff38405862c5dc2cc28532c9985b9d35368795bcc831cdac",
+        "drift.csv": "8b40f83aa6a5d1befa14f7e1c9d6c0b1a326b66e313796c8b70ff9e4e9ca5141",
+        "trajectories_summary.csv":
+            "afb4ce19a5e80c737524697de105c824dcce9874ed3dbeaf9bd427157e1d6591",
+    }),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_CSVS))
+def test_csv_bytes_are_pinned(tmp_path, command):
+    argv, pins = PINNED_CSVS[command]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.glob("*.csv")}
+    assert written == pins

@@ -7,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellybench import BinomialSpec, DomainError, binomial_entropy, shannon
-from kellybench.entropy import (
-    EntropySource,
-    LogBase,
-    binomial_entropy_forms,
-    utility_entropy_identity,
-)
+from kellybench import BinomialSpec, DomainError, shannon
+from kellybench.entropy import binomial_entropy_forms, utility_entropy_identity
 
 
 def test_shannon_symmetry_is_exact():
@@ -21,18 +16,18 @@ def test_shannon_symmetry_is_exact():
     # calls sum the same pair of terms and must agree bit for bit
     for k in range(1025):
         p = k / 1024.0
-        assert shannon(p).h == shannon(1.0 - p).h
+        assert shannon(p) == shannon(1.0 - p)
 
 
 def test_shannon_symmetry_on_decimal_grid():
     # non-dyadic complements round, so agreement is to the last ulp only
     for p in np.arange(0.0, 1.0001, 0.001):
-        assert shannon(float(p)).h == pytest.approx(shannon(float(1.0 - p)).h, abs=1e-14)
+        assert shannon(float(p)) == pytest.approx(shannon(float(1.0 - p)), abs=1e-14)
 
 
 def test_shannon_bounds_and_unique_maximum():
     grid = np.arange(0.0, 1.0001, 0.001)
-    values = np.array([shannon(float(p)).h for p in grid])
+    values = np.array([shannon(float(p)) for p in grid])
     assert np.all(values >= 0.0)
     assert np.all(values <= math.log(2.0) + 1e-15)
     peak = grid[np.argmax(values)]
@@ -45,20 +40,13 @@ def test_shannon_derivative_vanishes_at_argmax():
     # centered finite difference as an independent check on the peak location
     h = 1e-6
     star = 0.5
-    slope = (shannon(star + h).h - shannon(star - h).h) / (2.0 * h)
+    slope = (shannon(star + h) - shannon(star - h)) / (2.0 * h)
     assert abs(slope) < 1e-8
 
 
 def test_shannon_endpoints_carry_zero_entropy():
-    assert shannon(0.0).h == 0.0
-    assert shannon(1.0).h == 0.0
-
-
-def test_shannon_base2_rescaling():
-    assert shannon(0.5, base=LogBase.BASE2).h == pytest.approx(1.0, abs=1e-15)
-    assert shannon(0.25, base=LogBase.BASE2).h == pytest.approx(
-        shannon(0.25).h / math.log(2.0), abs=1e-15
-    )
+    assert shannon(0.0) == 0.0
+    assert shannon(1.0) == 0.0
 
 
 def test_shannon_rejects_bad_probability():
@@ -76,21 +64,16 @@ def test_binomial_entropy_dual_forms_agree(N):
 
 
 def test_binomial_entropy_loss_count_mirrors_win_count():
-    spec = BinomialSpec(N=15, p=0.3)
-    wins = binomial_entropy(spec, source=EntropySource.BINOMIAL_WINS).h
-    losses = binomial_entropy(spec, source=EntropySource.BINOMIAL_LOSSES).h
+    # the loss count of Binomial(N, p) is Binomial(N, 1 - p)
+    wins, _ = binomial_entropy_forms(BinomialSpec(N=15, p=0.3))
+    losses, _ = binomial_entropy_forms(BinomialSpec(N=15, p=0.7))
     # V = N - U is a bijection of the support, so the entropies coincide
     assert wins == pytest.approx(losses, abs=1e-12)
 
 
 def test_binomial_entropy_of_deterministic_game_is_zero():
-    assert binomial_entropy(BinomialSpec(N=10, p=1.0)).h == 0.0
-    assert binomial_entropy(BinomialSpec(N=10, p=0.0)).h == 0.0
-
-
-def test_binomial_entropy_rejects_single_trial_source():
-    with pytest.raises(DomainError):
-        binomial_entropy(BinomialSpec(N=4, p=0.5), source=EntropySource.SINGLE_TRIAL)
+    for p in (0.0, 1.0):
+        assert binomial_entropy_forms(BinomialSpec(N=10, p=p)) == (0.0, 0.0)
 
 
 def test_growth_entropy_identity_across_grid():
@@ -106,4 +89,4 @@ def test_growth_entropy_identity_rejects_losing_games():
 @given(p=st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_shannon_never_exceeds_one_bit(p):
-    assert 0.0 <= shannon(p, base=LogBase.BASE2).h <= 1.0 + 1e-15
+    assert 0.0 <= shannon(p) / math.log(2.0) <= 1.0 + 1e-15

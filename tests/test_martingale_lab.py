@@ -24,7 +24,6 @@ from kellybench import (
     ruin_probability_full_stake,
     simulate,
     utility,
-    wealth_stats,
 )
 
 
@@ -124,33 +123,41 @@ def test_running_max_dominates_checkpoints():
 @pytest.mark.parametrize("F", [0.02, 0.04, 0.2])
 @pytest.mark.parametrize("N", [1, 10, 20])
 def test_linear_expectation_matches_enumeration(p, F, N):
-    cfg = SimConfig(w0=1000.0, p=p, F=F, N=N, paths=1, seed=0)
-    oracle = expected_wealth_enumeration(cfg)
-    assert expected_wealth_linear(cfg) == pytest.approx(oracle, rel=1e-10)
+    oracle = expected_wealth_enumeration(1000.0, p, F, N)
+    assert expected_wealth_linear(1000.0, p, F, N) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_product_expectation_deviates_from_oracle():
-    cfg = SimConfig(w0=1000.0, p=0.52, F=0.2, N=20, paths=1, seed=0)
-    value = expected_wealth_product(cfg)
-    oracle = expected_wealth_enumeration(cfg)
+    value = expected_wealth_product(1000.0, 0.52, 0.2, 20)
+    oracle = expected_wealth_enumeration(1000.0, 0.52, 0.2, 20)
     assert value != pytest.approx(oracle, rel=1e-10)
     assert value < oracle  # the factorized form undershoots for F > 0
 
 
 def test_exponential_estimate_tracks_linear_form_for_small_stakes():
-    cfg = SimConfig(w0=1000.0, p=0.52, F=0.01, N=50, paths=1, seed=0)
-    assert expected_wealth_exponential(cfg) == pytest.approx(
-        expected_wealth_linear(cfg), rel=1e-3
+    assert expected_wealth_exponential(1000.0, 0.52, 0.01, 50) == pytest.approx(
+        expected_wealth_linear(1000.0, 0.52, 0.01, 50), rel=1e-3
     )
     with pytest.raises(ApproximationDomainError):
-        expected_wealth_exponential(SimConfig(w0=1.0, p=0.52, F=0.2, N=10, paths=1, seed=0))
+        expected_wealth_exponential(1.0, 0.52, 0.2, 10)
 
 
 def test_enumeration_guard():
     with pytest.raises(ResourceGuardError):
-        expected_wealth_enumeration(
-            SimConfig(w0=1.0, p=0.52, F=0.04, N=2_000_000, paths=1, seed=0)
-        )
+        expected_wealth_enumeration(1.0, 0.52, 0.04, 2_000_000)
+
+
+@pytest.mark.parametrize("closed_form", [
+    expected_wealth_linear,
+    expected_wealth_product,
+    expected_wealth_exponential,
+    expected_wealth_enumeration,
+])
+def test_closed_forms_validate_the_game(closed_form):
+    for w0, p, F, N in ((0.0, 0.52, 0.04, 10), (1.0, 1.5, 0.04, 10),
+                        (1.0, 0.52, -0.1, 10), (1.0, 0.52, 0.04, 0)):
+        with pytest.raises(DomainError):
+            closed_form(w0, p, F, N)
 
 
 # ------------------------------------------------------ drift and ruin
@@ -214,14 +221,25 @@ def test_maximal_inequality_holds_on_lambda_grid():
     cfg = SimConfig(w0=1000.0, p=0.52, F=0.04, N=100, paths=20_000, seed=3)
     batch = simulate(cfg)
     for lam in np.linspace(1.01, 2.0, 20) * cfg.w0:
-        assert empirical_sup_prob(batch, float(lam)) <= doob_bound(cfg, float(lam))
+        bound = doob_bound(cfg.w0, cfg.p, cfg.F, cfg.N, float(lam))
+        assert empirical_sup_prob(batch, float(lam)) <= bound
+
+
+@pytest.mark.parametrize("p", [0.3, 0.45, 0.5, 0.55, 0.7])
+def test_maximal_inequality_holds_in_both_regimes(p):
+    # sub- and supermartingale alike: P(sup W >= lam) <= max(w0, E[W(N)]) / lam
+    cfg = SimConfig(w0=1000.0, p=p, F=0.1, N=200, paths=2000, seed=13)
+    batch = simulate(cfg)
+    for lam in np.linspace(1.01, 2.0, 20) * cfg.w0:
+        bound = doob_bound(cfg.w0, p, cfg.F, cfg.N, float(lam))
+        assert bound >= min(1.0, cfg.w0 / lam)
+        assert empirical_sup_prob(batch, float(lam)) <= bound
 
 
 def test_doob_bound_caps_at_one():
-    cfg = small_config()
-    assert doob_bound(cfg, 1e-9) == 1.0
+    assert doob_bound(1000.0, 0.52, 0.04, 64, 1e-9) == 1.0
     with pytest.raises(DomainError):
-        doob_bound(cfg, 0.0)
+        doob_bound(1000.0, 0.52, 0.04, 64, 0.0)
 
 
 def test_martingale_part_mean_stays_flat():
@@ -257,15 +275,3 @@ def test_decomposition_rejects_decay_regime():
     batch = simulate(small_config(F=0.2))
     with pytest.raises(DomainError):
         doob_decompose(batch)
-
-
-# ---------------------------------------------------------------- stats
-
-
-def test_wealth_stats_summary():
-    batch = simulate(small_config())
-    stats = wealth_stats(batch)
-    assert stats.mean_final == pytest.approx(float(np.mean(batch.final_wealth)), abs=1e-9)
-    assert stats.vol_final == math.sqrt(stats.var_final)
-    assert stats.n_ruined == 0
-    assert stats.se_log_growth > 0.0

@@ -1,6 +1,7 @@
 """Wealth expansions, variance reports, and fractional staking trade-offs."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from kellybench import (
     DomainError,
     SimConfig,
     TrialCounts,
+    expected_wealth_linear,
     fractional_plan,
     kelly_fraction,
     simulate,
@@ -90,10 +92,27 @@ def test_order_two_error_actually_decays_quadratically():
 def test_variance_report_fields():
     rep = variance_report(1000.0, 100, 0.52, 0.04)
     pq = 0.52 * 0.48
-    assert rep.paper_linear == pytest.approx(2.0 * 1000.0**2 * 100 * pq, rel=1e-15)
-    assert rep.paper_estimate == pytest.approx(rep.paper_linear * 0.04**2, rel=1e-15)
+    assert rep.paper_estimate == pytest.approx(2.0 * 1000.0**2 * 100 * pq * 0.04**2, rel=1e-15)
     assert rep.oracle_exact is not None and rep.oracle_exact > 0.0
     assert rep.ratio == pytest.approx(rep.oracle_exact / rep.paper_estimate, rel=1e-12)
+
+
+@pytest.mark.parametrize("p, F", [(0.3, 0.2), (0.52, 0.04), (0.6, 0.5), (0.9, 0.02)])
+@pytest.mark.parametrize("N", [1, 5, 12])
+def test_wealth_moments_match_exact_rational_enumeration(p, F, N):
+    # E[W(N)] and Var[W(N)] summed exactly over the win count, in rationals
+    # built from the very float inputs the closed forms receive
+    w0, pr, fr = Fraction(1000.0), Fraction(p), Fraction(F)
+    terms = [
+        (math.comb(N, a) * pr**a * (1 - pr) ** (N - a), w0 * (1 + fr) ** a * (1 - fr) ** (N - a))
+        for a in range(N + 1)
+    ]
+    mean = sum(prob * w for prob, w in terms)
+    var = sum(prob * w * w for prob, w in terms) - mean * mean
+    assert expected_wealth_linear(1000.0, p, F, N) == pytest.approx(float(mean), rel=1e-14)
+    # the oracle takes expm1 of a difference of log-moments: ~1e-11 relative at worst
+    rep = variance_report(1000.0, N, p, F)
+    assert rep.oracle_exact == pytest.approx(float(var), rel=1e-10)
 
 
 def test_variance_vanishes_without_randomness_or_stake():
@@ -111,7 +130,6 @@ def test_variance_homogeneity_in_initial_wealth():
     a = variance_report(1.0, 100, 0.52, 0.04)
     b = variance_report(7.0, 100, 0.52, 0.04)
     assert b.paper_estimate == 49.0 * a.paper_estimate
-    assert b.paper_linear == 49.0 * a.paper_linear
     assert b.oracle_exact == pytest.approx(49.0 * a.oracle_exact, rel=1e-12)
 
 

@@ -11,9 +11,7 @@ from kellybench import (
     DegenerateGameError,
     DomainError,
     NoEdgeError,
-    Regime,
     SeriesInvalidError,
-    classify,
     f_star,
     f_star_approx,
     kelly_fraction,
@@ -135,8 +133,6 @@ def test_f_star_error_cases():
     # root closer to 1 than the bracket guard can resolve
     with pytest.raises(DegenerateGameError):
         f_star(0.999)
-    with pytest.raises(DomainError):
-        f_star(0.52, tol=0.0)
 
 
 def test_series_approximation_small_edge():
@@ -177,13 +173,6 @@ def test_sign_structure_partitions_unit_interval():
             assert u > 0.0
         elif F > root + h:
             assert u < 0.0
-
-
-def test_classify_regimes():
-    p = 0.52
-    assert classify(kelly_fraction(p), p).tag is Regime.GROWTH_SUBMARTINGALE
-    assert classify(0.2, p).tag is Regime.DECAY_SUPERMARTINGALE
-    assert classify(f_star(p), p).tag is Regime.BREAK_EVEN_MARTINGALE
 
 
 def test_regime_partition_bundles_all_critical_stakes():
