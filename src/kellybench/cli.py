@@ -31,6 +31,7 @@ from . import (
     doob_bound,
     doob_decompose,
     empirical_sup_prob,
+    expected_wealth_linear,
     kelly_fraction,
     log_drift_check,
     shannon,
@@ -85,32 +86,29 @@ def _load_config_file(path: str) -> dict[str, str]:
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _apply_config_defaults(args) -> None:
-    if not args.config:
-        return
+def _config_defaults(args) -> dict:
+    """The config file's values, converted with the types of their flags."""
     # keys, defaults and value types come from the subcommand's own parser
     parser = args.sub_parser
     declared = {action.dest: action.type for action in parser._actions}
     known = vars(args).keys() - {"command", "config", "fn", "sub_parser"}
+    values = {}
     for key, val in _load_config_file(args.config).items():
         if key not in known:
             raise KellyBenchError(f"unknown config key: {key!r}")
-        default = parser.get_default(key)
-        if isinstance(default, bool):
+        if isinstance(parser.get_default(key), bool):
             if val.lower() not in _BOOLEANS:
                 raise KellyBenchError(f"config key {key!r} needs a boolean, got {val!r}")
-            value = _BOOLEANS[val.lower()]
+            values[key] = _BOOLEANS[val.lower()]
         else:
             convert = declared[key]
             try:
-                value = convert(val)
+                values[key] = convert(val)
             except ValueError:
                 raise KellyBenchError(
                     f"config key {key!r} needs a {convert.__name__}, got {val!r}"
                 ) from None
-        # explicit CLI flags win: only fill values still at their default
-        if getattr(args, key) == default:
-            setattr(args, key, value)
+    return values
 
 
 # what a command returns for main to write: (file name, header, rows)
@@ -162,6 +160,9 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
         w0=args.w0, p=args.p, F=F, N=args.n, paths=args.paths,
         seed=args.seed, threads=args.threads,
     )
+    # the bounds below read E[W(cp)], which overflows only if E[W(N)] does:
+    # fail on that before the batch is run
+    expected_wealth_linear(config.w0, config.p, F, config.N)
     batch = simulate(config)
     dec = None
     if config.p > 0.5 and utility(F, config.p) >= 0.0:
@@ -272,7 +273,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_defaults(args)
+        if args.config:
+            # file values become parser defaults, so explicit flags win by
+            # argparse's own rule, even when they repeat the default
+            args.sub_parser.set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         code, tables = args.fn(args, parser)
     except NoEdgeError as exc:
         print(f"no-edge: {exc}", file=sys.stderr)

@@ -122,15 +122,16 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int, cps: np.ndarray, o
     for i in range(n):
         rng = np.random.default_rng((config.seed, start + i))
         u[i] = rng.random(config.N)
-    z = np.where(u < config.p, 1, -1)
-    factors = 1.0 + config.F * z
+    win = u < config.p
+    # the factor 1 + F Z(I) is exactly 1.0 + F on a win and 1.0 - F on a loss
+    factors = np.where(win, 1.0 + config.F, 1.0 - config.F)
     sl = slice(start, stop)
     # fold w0 into the first step so cumprod performs the literal recursion
     # W(I) = W(I-1) * (1 + F Z(I)) with one rounding per step
     factors[:, 0] *= config.w0
     wealth = np.cumprod(factors, axis=1)
     out["final"][sl] = wealth[:, -1]
-    out["wins"][sl] = (z > 0).sum(axis=1)
+    out["wins"][sl] = win.sum(axis=1)
     runmax = np.maximum.accumulate(wealth, axis=1)
     out["runmax"][sl] = np.maximum(config.w0, runmax[:, -1])
     out["ruined"][sl] = wealth[:, -1] == 0.0

@@ -11,6 +11,10 @@ expected verdict once; claims fall into two classes:
   material (e.g. the zero-covariance assumption against complementary
   counts). These are reported, never silently corrected, and do not fail
   the run.
+
+The acceptance gate (tests/test_acceptance.py) evaluates every row at the
+full scale and asserts its expected verdict, mismatches included, so a
+claim's config, tolerance and expected verdict are written only here.
 """
 
 from __future__ import annotations

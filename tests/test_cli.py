@@ -92,14 +92,17 @@ def test_simulate_doob_bound_holds_for_supermartingale(tmp_path):
 
 
 def test_simulate_is_byte_deterministic_across_threads(tmp_path):
-    outs = [tmp_path / name for name in ("a", "b", "c")]
-    main(["simulate", *SIM_ARGS, "--out", str(outs[0])])
-    main(["simulate", *SIM_ARGS, "--out", str(outs[1])])
-    main(["simulate", *SIM_ARGS, "--threads", "4", "--out", str(outs[2])])
-    for name in ("trajectories_summary.csv", "doob.csv", "drift.csv"):
-        ref = (outs[0] / name).read_bytes()
-        assert (outs[1] / name).read_bytes() == ref
-        assert (outs[2] / name).read_bytes() == ref
+    # 5 000 paths span two 4 096-path chunks, so bytes are compared across chunks too
+    wide = ["--p", "0.52", "--kelly", "--n", "500", "--paths", "5000", "--seed", "424242"]
+    for args in (SIM_ARGS, wide):
+        outs = [tmp_path / name for name in ("a", "b", "c")]
+        main(["simulate", *args, "--out", str(outs[0])])
+        main(["simulate", *args, "--out", str(outs[1])])
+        main(["simulate", *args, "--threads", "4", "--out", str(outs[2])])
+        for name in ("trajectories_summary.csv", "doob.csv", "drift.csv"):
+            ref = (outs[0] / name).read_bytes()
+            assert (outs[1] / name).read_bytes() == ref
+            assert (outs[2] / name).read_bytes() == ref
 
 
 def test_simulate_requires_exactly_one_stake_mode(tmp_path):
@@ -130,12 +133,15 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
 def test_config_file_supplies_defaults(tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("grid = 11  # coarse curve\np = 0.6\n")
-    out = tmp_path / "out"
-    assert main(["analyze", "--p", "0.52", "--config", str(cfg), "--out", str(out)]) == 0
-    _, rows = read_rows(out / "utility_curve.csv")
-    assert len(rows) == 11  # grid came from the file
-    _, prow = read_rows(out / "partition.csv")
-    assert float(prow[0][0]) == 0.52  # explicit --p beat the file value
+    # grid comes from the file unless a flag sets it, even to its default value
+    for flags, grid in (([], 11), (["--grid", "1001"], 1001)):
+        out = tmp_path / str(grid)
+        argv = ["analyze", "--p", "0.52", *flags, "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        _, rows = read_rows(out / "utility_curve.csv")
+        assert len(rows) == grid
+        _, prow = read_rows(out / "partition.csv")
+        assert float(prow[0][0]) == 0.52  # explicit --p beat the file value
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):

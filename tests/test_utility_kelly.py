@@ -94,6 +94,8 @@ def test_kelly_fraction_is_twice_the_edge():
         fk = kelly_fraction(float(p))
         assert fk == pytest.approx(2.0 * p - 1.0, abs=1e-15)
         assert utility_derivatives(fk, float(p)).first == pytest.approx(0.0, abs=1e-12)
+    # the worked example, exact up to the one ulp between 0.52 - 0.48 and 0.04
+    assert abs(kelly_fraction(0.52) - 0.04) < 1e-15
 
 
 def test_kelly_fraction_refuses_losing_games():
