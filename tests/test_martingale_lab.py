@@ -1,5 +1,7 @@
 """Seeded wealth simulation, expectation oracles, and martingale checks."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from kellybench import (
     expected_wealth_exponential,
     expected_wealth_linear,
     expected_wealth_product,
+    f_star,
+    kelly_fraction,
     log_drift_check,
     ruin_probability_full_stake,
     simulate,
@@ -164,6 +168,20 @@ def test_one_step_growth_factor_and_martingale_ratio():
     assert g > 1.0  # raw wealth drifts up whenever the edge is positive
 
 
+def test_drift_sign_matches_utility_in_each_regime():
+    p = 0.52
+    for F, sign in ((kelly_fraction(p), 1), (f_star(p), 0), (0.2, -1)):
+        batch = simulate(
+            SimConfig(w0=1000.0, p=p, F=F, N=400, paths=20_000, seed=5)
+        )
+        chk = log_drift_check(batch)
+        assert abs(chk.z_score) <= 3.0
+        if sign > 0:
+            assert chk.empirical_drift - 3.0 * chk.se > 0.0
+        elif sign < 0:
+            assert chk.empirical_drift + 3.0 * chk.se < 0.0
+
+
 def test_drift_check_needs_surviving_paths():
     batch = simulate(SimConfig(w0=1.0, p=0.52, F=0.04, N=10, paths=50, seed=1))
     with pytest.raises(DomainError):
@@ -195,6 +213,14 @@ def test_ruin_probability_closed_form():
 # ---------------------------------------------------------- doob checks
 
 
+def test_maximal_inequality_holds_on_lambda_grid():
+    cfg = SimConfig(w0=1000.0, p=0.52, F=0.04, N=100, paths=20_000, seed=3)
+    batch = simulate(cfg)
+    for lam in np.linspace(1.01, 2.0, 20) * cfg.w0:
+        bound = doob_bound(cfg.w0, cfg.p, cfg.F, cfg.N, float(lam))
+        assert empirical_sup_prob(batch, float(lam)) <= bound
+
+
 @pytest.mark.parametrize("p", [0.3, 0.45, 0.5, 0.55, 0.7])
 def test_maximal_inequality_holds_in_both_regimes(p):
     # sub- and supermartingale alike: P(sup W >= lam) <= max(w0, E[W(N)]) / lam
@@ -212,11 +238,21 @@ def test_doob_bound_caps_at_one():
         doob_bound(1000.0, 0.52, 0.04, 64, 0.0)
 
 
+def test_martingale_part_mean_stays_flat():
+    cfg = SimConfig(w0=1000.0, p=0.52, F=0.04, N=100, paths=20_000, seed=4)
+    batch = simulate(cfg)
+    dec = doob_decompose(batch)
+    assert dec.growth_factor == conditional_growth_factor(0.52, 0.04)
+    for j in range(len(dec.checkpoints)):
+        m = dec.martingale_part[:, j]
+        se = float(np.std(m, ddof=1) / math.sqrt(m.size))
+        assert abs(float(np.mean(m)) - cfg.w0) < 3.0 * se
+
+
 def test_decomposition_recovers_expectation_split():
     cfg = small_config(paths=2000)
     batch = simulate(cfg)
     dec = doob_decompose(batch)
-    assert dec.growth_factor == conditional_growth_factor(cfg.p, cfg.F)
     # E[W(I)] = E[M(I)] * g^I = w0 g^I = A(I) + w0: the expectation-level split
     for j, cp in enumerate(dec.checkpoints):
         expected = cfg.w0 * dec.growth_factor**cp

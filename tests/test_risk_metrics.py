@@ -142,16 +142,15 @@ def test_volatility_is_square_root_of_variance():
 
 
 def test_variance_oracle_matches_monte_carlo():
-    p, F = 0.52, 0.04
-    for N, paths, seed in ((50, 40_000, 21), (100, 100_000, 424242), (100, 100_000, 424243)):
-        rep = variance_report(1000.0, N, p, F)
-        batch = simulate(SimConfig(w0=1000.0, p=p, F=F, N=N, paths=paths, seed=seed))
-        w = batch.final_wealth
-        sample_var = float(np.var(w, ddof=1))
-        # standard error of the sample variance from the fourth central moment
-        m4 = float(np.mean((w - np.mean(w)) ** 4))
-        se = math.sqrt((m4 - sample_var**2) / paths)
-        assert abs(sample_var - rep.oracle_exact) < 5.0 * se
+    N, p, F, paths = 50, 0.52, 0.04, 40_000
+    rep = variance_report(1000.0, N, p, F)
+    batch = simulate(SimConfig(w0=1000.0, p=p, F=F, N=N, paths=paths, seed=21))
+    w = batch.final_wealth
+    sample_var = float(np.var(w, ddof=1))
+    # standard error of the sample variance from the fourth central moment
+    m4 = float(np.mean((w - np.mean(w)) ** 4))
+    se = math.sqrt((m4 - sample_var**2) / paths)
+    assert abs(sample_var - rep.oracle_exact) < 5.0 * se
 
 
 # ----------------------------------------------------- fractional Kelly
