@@ -259,8 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the claim registry against its oracles")
     mode = pv.add_mutually_exclusive_group()
-    mode.add_argument("--quick", action="store_true", default=True)
-    mode.add_argument("--full", action="store_true", default=False)
+    # one destination, so an explicit --quick beats `full = true` in --config
+    mode.add_argument("--quick", dest="full", action="store_false", default=False)
+    mode.add_argument("--full", dest="full", action="store_true", default=False)
     pv.add_argument("--seed", type=int, default=_DEFAULT_SEED)
     pv.add_argument("--out", type=str, default=None)
     pv.add_argument("--config", type=str, default=None)

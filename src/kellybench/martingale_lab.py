@@ -2,10 +2,15 @@
 
 Wealth evolves multiplicatively, W(I) = W(I-1) * (1 + F*Z(I)); the product
 form is algebraically identical to the additive random-walk form but avoids
-cancellation. Path k draws from the substream (seed, k), so results are
-bitwise reproducible regardless of chunking, thread count, or evaluation
-order. Full paths are never kept: final wealth, win counts, running maxima
-and checkpoint snapshots are all a check needs.
+cancellation. Path k's uniforms are exactly
+`np.random.default_rng((seed, k)).random(N)`, so results are bitwise
+reproducible regardless of chunking, thread count, or evaluation order.
+Building one `default_rng` per path spends most of its time in NumPy's
+SeedSequence hash, so `_pcg64_states` computes the PCG64 starting states of
+a whole chunk of paths at once, in uint64 arrays, and the chunk then draws
+from one native generator whose state it sets per path; the tests check
+those states against NumPy's own. Full paths are never kept: final wealth,
+win counts, running maxima and checkpoint snapshots are all a check needs.
 
 The regime statements are verified at the level where they are literally
 true: the drift of log-wealth has the sign of U(F, p). The exact one-step
@@ -28,6 +33,26 @@ from .utility_kelly import _check_fp, utility
 MAX_TOTAL_STEPS = 10**9
 
 _CHUNK = 4096
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32 words
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+
+# PCG64's 128-bit LCG (O'Neill 2014)
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _check_seed(seed) -> None:
+    """A seed is a non-negative integer, as NumPy's SeedSequence requires."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise DomainError(f"seed {seed!r} must be an integer")
+    if seed < 0:
+        raise DomainError(f"seed {seed!r} must be non-negative")
 
 
 def _check_game(w0: float, p: float, F: float, N: int) -> None:
@@ -56,6 +81,7 @@ class SimConfig:
         _check_game(self.w0, self.p, self.F, self.N)
         if self.paths < 1:
             raise DomainError(f"path count {self.paths!r} must be at least 1")
+        _check_seed(self.seed)
         if self.threads < 1:
             raise DomainError(f"thread count {self.threads!r} must be at least 1")
         for c in self.checkpoints:
@@ -115,13 +141,84 @@ class DoobDecomposition:
     growth_factor: float
 
 
+def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The (state, inc) that `np.random.default_rng((seed, k)).bit_generator`
+    starts from, for every k in [start, stop).
+
+    SeedSequence hashes the entropy words (the seed's little-endian uint32
+    words, then k) into a 4-word pool and reads 8 words out of it; the hash
+    constants do not depend on the data, so each step runs once over all k.
+    Every value is a uint32 held in a uint64 array, masked after each
+    product, so nothing overflows on a numpy scalar.
+    """
+    assert 0 <= start <= stop <= 2**32  # k is one entropy word
+    n = stop - start
+    words = []
+    seed = int(seed)
+    while True:
+        words.append(np.full(n, seed & _MASK32, dtype=np.uint64))
+        seed >>= 32
+        if not seed:
+            break
+    entropy = [*words, np.arange(start, stop, dtype=np.uint64)]
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        # uint64 arrays wrap on the subtraction; the mask keeps it mod 2^32
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros(n, dtype=np.uint64)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(_POOL_SIZE, len(entropy)):
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+
+    hash_const = _INIT_B
+    state = []
+    for i_dst in range(2 * _POOL_SIZE):
+        value = pool[i_dst % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state.append(value ^ (value >> _XSHIFT))
+    # uint32 pairs read little-endian as the uint64 words s_hi, s_lo, i_hi, i_lo
+    s_hi, s_lo, i_hi, i_lo = (
+        (state[2 * j] | (state[2 * j + 1] << 32)).tolist() for j in range(4)
+    )
+
+    # PCG64 srandom: inc = (initseq << 1) | 1, step, add initstate, step
+    out = []
+    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
+        inc = (((c << 64) | d) << 1 | 1) & _MASK128
+        st = (inc + ((a << 64) | b)) & _MASK128
+        out.append(((st * _PCG64_MULT + inc) & _MASK128, inc))
+    return out
+
+
 def _simulate_chunk(config: SimConfig, start: int, stop: int, cps: np.ndarray, out: dict) -> None:
     """Simulate paths [start, stop); write results into preallocated slots."""
     n = stop - start
     u = np.empty((n, config.N))
-    for i in range(n):
-        rng = np.random.default_rng((config.seed, start + i))
-        u[i] = rng.random(config.N)
+    # one native generator, moved to each path's substream before its draws
+    bit_gen = np.random.PCG64()
+    gen = np.random.Generator(bit_gen)
+    for i, (state, inc) in enumerate(_pcg64_states(config.seed, start, stop)):
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                         "has_uint32": 0, "uinteger": 0}
+        # assigning the result beats random(out=...), whose checks cost more
+        # per call than the copy at short horizons
+        u[i] = gen.random(config.N)
     win = u < config.p
     # the factor 1 + F Z(I) is exactly 1.0 + F on a win and 1.0 - F on a loss
     factors = np.where(win, 1.0 + config.F, 1.0 - config.F)
@@ -143,8 +240,9 @@ def simulate(config: SimConfig) -> TrajectoryBatch:
     """Run the configured batch of independent trajectories.
 
     Reproducibility contract: identical config (seed included) yields a
-    bitwise-identical batch for any thread count, because every path has
-    its own substream and reductions read preallocated, ordered arrays.
+    bitwise-identical batch for any thread count, because path k draws
+    exactly `np.random.default_rng((seed, k)).random(N)` and reductions read
+    preallocated, ordered arrays.
     """
     if config.paths * config.N > MAX_TOTAL_STEPS:
         raise ResourceGuardError(

@@ -60,6 +60,7 @@ from . import (
     wealth_approx,
 )
 from .entropy import binomial_entropy_forms
+from .martingale_lab import _check_seed
 
 
 @dataclass(frozen=True)
@@ -390,6 +391,7 @@ def run_verification(seed: int, scale: str = "quick") -> tuple[list[ClaimResult]
     """
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; use one of {sorted(SCALES)}")
+    _check_seed(seed)
     sc = SCALES[scale]
     results = [_evaluate(claim, sc, seed) for claim in _CLAIMS]
     clean = all(

@@ -210,9 +210,12 @@ def test_tradeoff_high_edge_and_overflow(tmp_path, capsys):
     ["simulate", "--p", "0.52", "--kelly", "--n", "128", "--paths", "50"],  # < 100 paths
     ["analyze", "--p", "0.9"],  # series estimate of F* invalid at this edge
     ["simulate", "--p", "0.9", "--stake", "0.8", "--n", "5000", "--paths", "200"],  # E[W] overflows
-], ids=["simulate", "analyze", "simulate-overflow"])
-def test_failed_command_writes_no_csv(tmp_path, argv):
+    ["simulate", *SIM_ARGS, "--seed", "-1"],
+    ["verify", "--quick", "--seed", "-1"],
+], ids=["simulate", "analyze", "simulate-overflow", "simulate-seed", "verify-seed"])
+def test_failed_command_writes_no_csv(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -232,6 +235,23 @@ def test_verify_quick_is_clean(tmp_path, capsys):
     assert hashlib.sha256((tmp_path / "errata.csv").read_bytes()).hexdigest() == (
         "d721e88423e6bcf14503b7da5c0d3d678dff49e970cff2f92c1d4345beb2cc7a"
     )
+
+
+def test_explicit_quick_beats_full_in_config(tmp_path, capsys, monkeypatch):
+    scales = []
+
+    def record_scale(seed, scale):
+        scales.append(scale)
+        return [], True
+
+    monkeypatch.setattr("kellybench.cli.run_verification", record_scale)
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("full = true\n")
+    for flags, scale in (([], "full"), (["--quick"], "quick")):
+        argv = ["verify", *flags, "--config", str(cfg), "--out", str(tmp_path / scale)]
+        assert main(argv) == 0
+        assert f"({scale} scale)" in capsys.readouterr().out
+    assert scales == ["full", "quick"]
 
 
 # SHA-256 of every CSV each command writes; a refactor must keep these bytes

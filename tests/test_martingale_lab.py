@@ -24,6 +24,7 @@ from kellybench import (
     ruin_probability_full_stake,
     simulate,
 )
+from kellybench.martingale_lab import _pcg64_states
 
 
 def small_config(**overrides) -> SimConfig:
@@ -48,6 +49,9 @@ def test_config_validation():
         small_config(checkpoints=(0,))
     with pytest.raises(DomainError):
         small_config(checkpoints=(65,))
+    for seed in (-1, 1.5, "7", True):
+        with pytest.raises(DomainError):
+            small_config(seed=seed)
 
 
 def test_default_checkpoints_are_quartiles():
@@ -86,6 +90,33 @@ def test_seed_changes_results():
     a = simulate(small_config())
     b = simulate(small_config(seed=12))
     assert not np.array_equal(a.final_wealth, b.final_wealth)
+
+
+# seed words: one (up to the 32-bit edge), two, three, four (with k, five
+# entropy words: the hash's "remaining entropy" loop) and eight
+ORACLE_SEEDS = {"0": 0, "1": 1, "2^32-1": 2**32 - 1, "2^32": 2**32, "2^64+5": 2**64 + 5,
+                "2^127+3": 2**127 + 3, "2^224+12345": 2**224 + 12345}
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
+def test_pcg64_states_match_numpy(seed):
+    for k in (0, 1, 4095, 4096, 2**31, 2**32 - 1):
+        ref = np.random.default_rng((seed, k)).bit_generator.state["state"]
+        assert _pcg64_states(seed, k, k + 1) == [(ref["state"], ref["inc"])]
+    refs = [np.random.default_rng((seed, k)).bit_generator.state["state"]
+            for k in range(4090, 4100)]
+    assert _pcg64_states(seed, 4090, 4100) == [(r["state"], r["inc"]) for r in refs]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_path_k_draws_numpy_substream_seed_k(threads):
+    # 4100 paths span two chunks; the seed takes two entropy words
+    seed, N, p = 2**32 + 17, 20, 0.52
+    batch = simulate(SimConfig(w0=1.0, p=p, F=0.04, N=N, paths=4100, seed=seed,
+                               threads=threads))
+    oracle = [int((np.random.default_rng((seed, k)).random(N) < p).sum())
+              for k in range(4100)]
+    assert batch.wins.tolist() == oracle
 
 
 # ------------------------------------------------------ exact recursion
