@@ -41,6 +41,7 @@ from . import (
     utility_curve,
 )
 from .errors import KellyBenchError
+from .risk_metrics import _check_variance_fits
 from .utility_kelly import regime_partition
 from .verify import run_verification
 
@@ -160,9 +161,11 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
         w0=args.w0, p=args.p, F=F, N=args.n, paths=args.paths,
         seed=args.seed, threads=args.threads,
     )
-    # the bounds below read E[W(cp)], which overflows only if E[W(N)] does:
-    # fail on that before the batch is run
+    # the bounds below read E[W(cp)], which overflows only if E[W(N)] does,
+    # and var_W is Var[W(cp)]: fail on either before the batch is run
     expected_wealth_linear(config.w0, config.p, F, config.N)
+    for cp in config.checkpoints:
+        _check_variance_fits(config.w0, config.p, F, cp)
     batch = simulate(config)
     dec = None
     if config.p > 0.5 and utility(F, config.p) >= 0.0:
@@ -170,7 +173,7 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
 
     lam_ref = args.lam if args.lam is not None else 1.5 * config.w0
     rows = []
-    for j, cp in enumerate(batch.checkpoints):
+    for j, cp in enumerate(config.checkpoints):
         w_cp = batch.checkpoint_wealth[:, j]
         rows.append([
             cp,

@@ -9,8 +9,9 @@ Building one `default_rng` per path spends most of its time in NumPy's
 SeedSequence hash, so `_pcg64_states` computes the PCG64 starting states of
 a whole chunk of paths at once, in uint64 arrays, and the chunk then draws
 from one native generator whose state it sets per path; the tests check
-those states against NumPy's own. Full paths are never kept: final wealth,
-win counts, running maxima and checkpoint snapshots are all a check needs.
+those states against NumPy's own. Full paths are never kept: a check needs
+only the win counts and, at each checkpoint I, W(I) and max W(0..I); the
+last checkpoint is always N.
 
 The regime statements are verified at the level where they are literally
 true: the drift of log-wealth has the sign of U(F, p). The exact one-step
@@ -57,8 +58,8 @@ def _check_seed(seed) -> None:
 
 def _check_game(w0: float, p: float, F: float, N: int) -> None:
     """The game every closed form and every run is defined on."""
-    if not (w0 > 0.0):
-        raise DomainError(f"initial wealth {w0!r} must be positive")
+    if not (0.0 < w0 < math.inf):
+        raise DomainError(f"initial wealth {w0!r} must be positive and finite")
     _check_fp(F, p)
     if N < 1:
         raise DomainError(f"trial count {N!r} must be at least 1")
@@ -74,7 +75,6 @@ class SimConfig:
     N: int
     paths: int
     seed: int
-    checkpoints: tuple[int, ...] = ()
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -84,13 +84,10 @@ class SimConfig:
         _check_seed(self.seed)
         if self.threads < 1:
             raise DomainError(f"thread count {self.threads!r} must be at least 1")
-        for c in self.checkpoints:
-            if not (1 <= c <= self.N):
-                raise DomainError(f"checkpoint {c!r} outside 1..{self.N}")
 
-    def resolved_checkpoints(self) -> tuple[int, ...]:
-        if self.checkpoints:
-            return tuple(sorted(set(self.checkpoints)))
+    @property
+    def checkpoints(self) -> tuple[int, ...]:
+        """The quarters of the horizon; the last is always N."""
         quarters = {max(1, self.N // 4), max(1, self.N // 2), max(1, 3 * self.N // 4), self.N}
         return tuple(sorted(quarters))
 
@@ -100,13 +97,14 @@ class TrajectoryBatch:
     """Per-path summaries of a simulated batch: all that any check reads."""
 
     config: SimConfig
-    final_wealth: np.ndarray  # (paths,)
     wins: np.ndarray  # (paths,) win count per path
-    running_max: np.ndarray  # (paths,) max of W(0..N)
-    ruined: np.ndarray  # (paths,) bool, wealth absorbed at 0
-    checkpoints: tuple[int, ...]
-    checkpoint_wealth: np.ndarray  # (paths, len(checkpoints))
-    checkpoint_running_max: np.ndarray  # (paths, len(checkpoints))
+    checkpoint_wealth: np.ndarray  # (paths, len(config.checkpoints)), W(I)
+    checkpoint_running_max: np.ndarray  # (paths, len(config.checkpoints)), max W(0..I)
+
+    @property
+    def ruined(self) -> np.ndarray:
+        """Per-path flag: wealth absorbed at 0 by trial N."""
+        return self.checkpoint_wealth[:, -1] == 0.0
 
     @property
     def log_growth_per_trial(self) -> np.ndarray:
@@ -115,8 +113,6 @@ class TrajectoryBatch:
         losses = cfg.N - self.wins
         if cfg.F == 1.0:
             out = np.where(self.ruined, -np.inf, self.wins * math.log(2.0))
-        elif cfg.F == 0.0:
-            out = np.zeros(cfg.paths)
         else:
             out = self.wins * math.log1p(cfg.F) + losses * math.log1p(-cfg.F)
         return out / cfg.N
@@ -206,8 +202,9 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     return out
 
 
-def _simulate_chunk(config: SimConfig, start: int, stop: int, cps: np.ndarray, out: dict) -> None:
-    """Simulate paths [start, stop); write results into preallocated slots."""
+def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int) -> None:
+    """Simulate paths [start, stop) into their rows of the batch."""
+    config = batch.config
     n = stop - start
     u = np.empty((n, config.N))
     # one native generator, moved to each path's substream before its draws
@@ -222,18 +219,19 @@ def _simulate_chunk(config: SimConfig, start: int, stop: int, cps: np.ndarray, o
     win = u < config.p
     # the factor 1 + F Z(I) is exactly 1.0 + F on a win and 1.0 - F on a loss
     factors = np.where(win, 1.0 + config.F, 1.0 - config.F)
-    sl = slice(start, stop)
     # fold w0 into the first step so cumprod performs the literal recursion
     # W(I) = W(I-1) * (1 + F Z(I)) with one rounding per step
     factors[:, 0] *= config.w0
     wealth = np.cumprod(factors, axis=1)
-    out["final"][sl] = wealth[:, -1]
-    out["wins"][sl] = win.sum(axis=1)
-    runmax = np.maximum.accumulate(wealth, axis=1)
-    out["runmax"][sl] = np.maximum(config.w0, runmax[:, -1])
-    out["ruined"][sl] = wealth[:, -1] == 0.0
-    out["cp_wealth"][sl] = wealth[:, cps - 1]
-    out["cp_runmax"][sl] = np.maximum(config.w0, runmax[:, cps - 1])
+    cps = np.asarray(config.checkpoints)
+    rows = slice(start, stop)
+    batch.wins[rows] = win.sum(axis=1)
+    batch.checkpoint_wealth[rows] = wealth[:, cps - 1]
+    # max over each segment (previous checkpoint, checkpoint], then a prefix
+    # max from w0; max does not round, so this is max W(0..I) exactly
+    seg = np.maximum.reduceat(wealth, np.r_[0, cps[:-1]], axis=1)
+    batch.checkpoint_running_max[rows] = np.maximum.accumulate(
+        np.maximum(config.w0, seg), axis=1)
 
 
 def simulate(config: SimConfig) -> TrajectoryBatch:
@@ -241,39 +239,28 @@ def simulate(config: SimConfig) -> TrajectoryBatch:
 
     Reproducibility contract: identical config (seed included) yields a
     bitwise-identical batch for any thread count, because path k draws
-    exactly `np.random.default_rng((seed, k)).random(N)` and reductions read
-    preallocated, ordered arrays.
+    exactly `np.random.default_rng((seed, k)).random(N)` and each chunk
+    writes only its own rows of the preallocated batch.
     """
     if config.paths * config.N > MAX_TOTAL_STEPS:
         raise ResourceGuardError(
             f"{config.paths} paths x {config.N} steps exceeds {MAX_TOTAL_STEPS}"
         )
-    cps = np.asarray(config.resolved_checkpoints(), dtype=int)
-    out = {
-        "final": np.empty(config.paths),
-        "wins": np.empty(config.paths, dtype=np.int64),
-        "runmax": np.empty(config.paths),
-        "ruined": np.empty(config.paths, dtype=bool),
-        "cp_wealth": np.empty((config.paths, len(cps))),
-        "cp_runmax": np.empty((config.paths, len(cps))),
-    }
+    shape = (config.paths, len(config.checkpoints))
+    batch = TrajectoryBatch(
+        config=config,
+        wins=np.empty(config.paths, dtype=np.int64),
+        checkpoint_wealth=np.empty(shape),
+        checkpoint_running_max=np.empty(shape),
+    )
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         futures = [
-            pool.submit(_simulate_chunk, config, s, min(s + _CHUNK, config.paths), cps, out)
+            pool.submit(_simulate_chunk, batch, s, min(s + _CHUNK, config.paths))
             for s in range(0, config.paths, _CHUNK)
         ]
         for f in futures:
             f.result()
-    return TrajectoryBatch(
-        config=config,
-        final_wealth=out["final"],
-        wins=out["wins"],
-        running_max=out["runmax"],
-        ruined=out["ruined"],
-        checkpoints=tuple(int(c) for c in cps),
-        checkpoint_wealth=out["cp_wealth"],
-        checkpoint_running_max=out["cp_runmax"],
-    )
+    return batch
 
 
 def conditional_growth_factor(p: float, F: float) -> float:
@@ -381,7 +368,7 @@ def empirical_sup_prob(batch: TrajectoryBatch, lam: float) -> float:
     """Fraction of paths whose running maximum reaches lambda."""
     if not (lam > 0.0):
         raise DomainError(f"threshold {lam!r} must be positive")
-    return float(np.mean(batch.running_max >= lam))
+    return float(np.mean(batch.checkpoint_running_max[:, -1] >= lam))
 
 
 def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:
@@ -398,11 +385,11 @@ def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:
             "decomposition is scoped to the growth regime (p > 1/2, U(F, p) >= 0)"
         )
     g = conditional_growth_factor(cfg.p, cfg.F)
-    cps = np.asarray(batch.checkpoints, dtype=float)
+    cps = np.asarray(cfg.checkpoints, dtype=float)
     mart = batch.checkpoint_wealth * g ** (-cps)
     drift = cfg.w0 * g**cps - cfg.w0
     return DoobDecomposition(
-        checkpoints=batch.checkpoints,
+        checkpoints=cfg.checkpoints,
         martingale_part=mart,
         drift=drift,
         growth_factor=g,

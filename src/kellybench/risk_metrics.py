@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import ApproximationDomainError, DomainError
+from .errors import ApproximationDomainError, DomainError, ResourceGuardError
 from .bernoulli_core import BinomialSpec, TrialCounts, log_pmf_array
 from .martingale_lab import _check_game, expected_wealth_linear
 from .utility_kelly import kelly_fraction, utility
@@ -24,6 +24,8 @@ VARIANCE_ORACLE_GUARD = 10**4
 
 # guard on the stake for the binomial-series wealth expansion
 WEALTH_APPROX_MAX_F = 0.2
+
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -97,6 +99,22 @@ def _log_wealth_moments(w0: float, N: int, p: float, F: float) -> tuple[float, f
     m1 = float(logsumexp(logp + log_w))
     m2 = float(logsumexp(logp + 2.0 * log_w))
     return m1, m2
+
+
+def _check_variance_fits(w0: float, p: float, F: float, N: int) -> None:
+    """Raise ResourceGuardError where Var[W(N)] exceeds float64.
+
+    Var[W(N)] = w0^2 (m^N - g^(2N)) with m = E[(1 + F Z)^2] =
+    p(1+F)^2 + q(1-F)^2 and g = E[1 + F Z] = 1 + F(2p-1), taken in log space;
+    it is 0 when F = 0 or p is 0 or 1.
+    """
+    if F == 0.0 or p in (0.0, 1.0):
+        return
+    log_m = math.log(p * (1.0 + F) ** 2 + (1.0 - p) * (1.0 - F) ** 2)
+    # m^N - g^(2N) = m^N (1 - (g^2/m)^N), and m > g^2 in exact arithmetic
+    gap = -math.expm1(N * (2.0 * math.log1p(F * (2.0 * p - 1.0)) - log_m))
+    if gap > 0.0 and 2.0 * math.log(w0) + N * log_m + math.log(gap) > _LOG_FLOAT_MAX:
+        raise ResourceGuardError(f"variance of wealth overflows float64 at N={N}, F={F!r}")
 
 
 def _paper_variance(w0: float, N: int, p: float, F: float) -> float:

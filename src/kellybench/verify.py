@@ -48,7 +48,6 @@ from . import (
     mgf_bruteforce,
     moments,
     net_wins_variance,
-    pmf_array,
     ruin_probability_full_stake,
     shannon,
     simulate,
@@ -59,6 +58,7 @@ from . import (
     variance_report,
     wealth_approx,
 )
+from .bernoulli_core import _enumerated_count_moments
 from .entropy import binomial_entropy_forms
 from .martingale_lab import _check_seed
 
@@ -108,10 +108,8 @@ def _close(paper: float, oracle: float, tol: float) -> tuple:
 
 def _claim_count_moments(scale: Scale, seed: int) -> tuple:
     spec = BinomialSpec(N=20, p=0.52)
-    probs = pmf_array(spec)
-    alpha = np.arange(21, dtype=float)
-    mean = float(np.dot(alpha, probs))
-    var = float(np.dot(alpha * alpha, probs)) - mean * mean
+    mean, mean_sq, _ = _enumerated_count_moments(spec.N, spec.p)
+    var = mean_sq - mean * mean
     m = moments(spec)
     gap = max(_rel(m.mean, mean), _rel(m.variance, var))
     return (f"mean={m.mean:.6g},var={m.variance:.6g}", f"mean={mean:.6g},var={var:.6g}",

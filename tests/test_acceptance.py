@@ -66,7 +66,7 @@ def test_criterion_09_variance_reporting():
     for seed in (SEED, SEED + 1):
         batch = simulate(SimConfig(w0=1000.0, p=p, F=F, N=N, paths=paths,
                                    seed=seed, threads=THREADS))
-        w = batch.final_wealth
+        w = batch.checkpoint_wealth[:, -1]
         sample_var = float(np.var(w, ddof=1))
         m4 = float(np.mean((w - np.mean(w)) ** 4))
         se = math.sqrt((m4 - sample_var**2) / paths)

@@ -102,6 +102,15 @@ def test_simulate_is_byte_deterministic_across_threads(tmp_path):
         assert (outs[2] / name).read_bytes() == ref
 
 
+def test_simulate_variance_just_below_float_limit(tmp_path):
+    # log Var[W(640)] is 699.6 here, below log(float64 max) = 709.8; at
+    # N = 660 it is 721.1 and the command exits 2 before the batch
+    argv = ["simulate", "--p", "0.9", "--stake", "0.8", "--n", "640", "--paths", "200"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "trajectories_summary.csv")
+    assert all(math.isfinite(float(dict(zip(header, row))["var_W"])) for row in rows)
+
+
 def test_simulate_requires_exactly_one_stake_mode(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--p", "0.52", "--n", "10", "--paths", "200", "--out", str(tmp_path)])
@@ -210,9 +219,13 @@ def test_tradeoff_high_edge_and_overflow(tmp_path, capsys):
     ["simulate", "--p", "0.52", "--kelly", "--n", "128", "--paths", "50"],  # < 100 paths
     ["analyze", "--p", "0.9"],  # series estimate of F* invalid at this edge
     ["simulate", "--p", "0.9", "--stake", "0.8", "--n", "5000", "--paths", "200"],  # E[W] overflows
+    ["simulate", "--p", "0.9", "--stake", "0.8", "--n", "1000", "--paths", "200"],  # Var[W] too
     ["simulate", *SIM_ARGS, "--seed", "-1"],
+    ["simulate", "--p", "0.52", "--kelly", "--n", "10", "--paths", "200", "--w0", "inf"],
+    ["tradeoff", "--p", "0.52", "--w0", "inf"],
     ["verify", "--quick", "--seed", "-1"],
-], ids=["simulate", "analyze", "simulate-overflow", "simulate-seed", "verify-seed"])
+], ids=["simulate", "analyze", "simulate-overflow", "simulate-variance", "simulate-seed",
+        "simulate-w0", "tradeoff-w0", "verify-seed"])
 def test_failed_command_writes_no_csv(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -269,6 +282,28 @@ PINNED_CSVS = {
         "drift.csv": "8b40f83aa6a5d1befa14f7e1c9d6c0b1a326b66e313796c8b70ff9e4e9ca5141",
         "trajectories_summary.csv":
             "afb4ce19a5e80c737524697de105c824dcce9874ed3dbeaf9bd427157e1d6591",
+    }),
+    # 4 100 paths cross the 4 096-path chunk edge, split over two threads
+    "simulate-chunks": (["simulate", "--p", "0.52", "--kelly", "--n", "40", "--paths", "4100",
+                         "--seed", "5", "--threads", "2"], {
+        "doob.csv": "f2b83e923b21169f1f8cb49a982402ff2b1431f563d8afe5002ff56122452328",
+        "drift.csv": "3b76257ebbc3979b012204243fbf9401fe20a05a6d10dc3e827495f6e416f0a3",
+        "trajectories_summary.csv":
+            "81830412ab96fe349c7a8a005016d4384bef1ad183d11302f187443ac38a5994",
+    }),
+    "simulate-supermartingale": (["simulate", "--p", "0.45", "--stake", "0.1", "--n", "200",
+                                  "--paths", "300", "--seed", "2"], {
+        "doob.csv": "77a9f446abc028d007ef3127cd70c93adc60c662deccf15546939e5708d709da",
+        "drift.csv": "f29db53d6ffad6b9b797063c544fa4dd995a4e061b08f17dcc606be956f44d14",
+        "trajectories_summary.csv":
+            "14bc9185873ec05a59a12de23943c44c0de64de2de95d61f26ba872f7818e43b",
+    }),
+    "simulate-zero-stake": (["simulate", "--p", "0.52", "--stake", "0", "--n", "7",
+                             "--paths", "300", "--seed", "3"], {
+        "doob.csv": "fee72044b192ed24766001a4bd1bff65e4d6e8b200eadfce1ebbf3d09e251184",
+        "drift.csv": "19c394b733453e62a9d2eb301e82ef8dbed7ab865f45e3807cb6f10d11b9a704",
+        "trajectories_summary.csv":
+            "f124b41317199a7d30801f0d218dde8654444fd918e150dd79ee7cdc53a9c200",
     }),
 }
 

@@ -1,6 +1,7 @@
 """Seeded wealth simulation, expectation oracles, and martingale checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,24 +46,32 @@ def test_config_validation():
         small_config(F=-0.1)
     with pytest.raises(DomainError):
         small_config(paths=0)
-    with pytest.raises(DomainError):
-        small_config(checkpoints=(0,))
-    with pytest.raises(DomainError):
-        small_config(checkpoints=(65,))
     for seed in (-1, 1.5, "7", True):
         with pytest.raises(DomainError):
             small_config(seed=seed)
 
 
 def test_default_checkpoints_are_quartiles():
-    assert small_config(N=100).resolved_checkpoints() == (25, 50, 75, 100)
-    assert small_config(N=1).resolved_checkpoints() == (1,)
-    assert small_config(checkpoints=(5, 3, 5)).resolved_checkpoints() == (3, 5)
+    assert small_config(N=100).checkpoints == (25, 50, 75, 100)
+    assert small_config(N=1).checkpoints == (1,)
 
 
 def test_resource_guard_on_total_steps():
     with pytest.raises(ResourceGuardError):
         simulate(small_config(N=100_000, paths=100_000))
+
+
+def test_simulate_peak_memory_is_bounded_per_path_step():
+    # a chunk holds its draws, outcomes, factors and wealth; nothing more of
+    # the horizon, so the traced peak stays below 3.5 float64 per path-step
+    cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=500, paths=2000, seed=1)
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 8 * cfg.paths * cfg.N
 
 
 # ------------------------------------------------------ reproducibility
@@ -71,25 +80,24 @@ def test_resource_guard_on_total_steps():
 def test_simulation_is_bitwise_reproducible():
     a = simulate(small_config())
     b = simulate(small_config())
-    assert np.array_equal(a.final_wealth, b.final_wealth)
     assert np.array_equal(a.wins, b.wins)
-    assert np.array_equal(a.running_max, b.running_max)
     assert np.array_equal(a.checkpoint_wealth, b.checkpoint_wealth)
+    assert np.array_equal(a.checkpoint_running_max, b.checkpoint_running_max)
 
 
 def test_thread_count_does_not_change_results():
     serial = simulate(small_config(paths=9000))
     for threads in (2, 4):
         parallel = simulate(small_config(paths=9000, threads=threads))
-        assert np.array_equal(serial.final_wealth, parallel.final_wealth)
-        assert np.array_equal(serial.running_max, parallel.running_max)
+        assert np.array_equal(serial.wins, parallel.wins)
         assert np.array_equal(serial.checkpoint_wealth, parallel.checkpoint_wealth)
+        assert np.array_equal(serial.checkpoint_running_max, parallel.checkpoint_running_max)
 
 
 def test_seed_changes_results():
     a = simulate(small_config())
     b = simulate(small_config(seed=12))
-    assert not np.array_equal(a.final_wealth, b.final_wealth)
+    assert not np.array_equal(a.checkpoint_wealth[:, -1], b.checkpoint_wealth[:, -1])
 
 
 # seed words: one (up to the 32-bit edge), two, three, four (with k, five
@@ -123,27 +131,33 @@ def test_path_k_draws_numpy_substream_seed_k(threads):
 
 
 def test_wealth_follows_exact_multiplicative_recursion():
-    # a checkpoint at every step exposes the whole path W(0..N)
-    batch = simulate(small_config(checkpoints=tuple(range(1, 65))))
-    w = np.hstack([np.full((500, 1), 1000.0), batch.checkpoint_wealth])
-    assert w.shape == (500, 65)
-    ratio_up = w[:, :-1] * (1.0 + 0.04)
-    ratio_dn = w[:, :-1] * (1.0 - 0.04)
-    step_matches = (w[:, 1:] == ratio_up) | (w[:, 1:] == ratio_dn)
-    assert np.all(step_matches)
+    # replay path k's substream through the literal float recursion, one
+    # product per step, and keep its running maximum from w0
+    for cfg in (small_config(N=63), small_config(N=63, p=0.45, F=0.1), small_config(N=3)):
+        batch = simulate(cfg)
+        for k in range(cfg.paths):
+            w = top = cfg.w0
+            walk = []
+            for u in np.random.default_rng((cfg.seed, k)).random(cfg.N).tolist():
+                w = w * (1.0 + cfg.F) if u < cfg.p else w * (1.0 - cfg.F)
+                top = max(top, w)
+                walk.append((w, top))
+            for j, cp in enumerate(cfg.checkpoints):
+                assert batch.checkpoint_wealth[k, j] == walk[cp - 1][0]
+                assert batch.checkpoint_running_max[k, j] == walk[cp - 1][1]
 
 
 def test_win_counts_consistent_with_final_wealth():
     batch = simulate(small_config())
     cfg = batch.config
     rebuilt = cfg.w0 * (1.0 + cfg.F) ** batch.wins * (1.0 - cfg.F) ** (cfg.N - batch.wins)
-    assert np.allclose(rebuilt, batch.final_wealth, rtol=1e-12)
+    assert np.allclose(rebuilt, batch.checkpoint_wealth[:, -1], rtol=1e-12)
 
 
 def test_running_max_dominates_checkpoints():
     batch = simulate(small_config())
-    assert np.all(batch.running_max >= batch.checkpoint_wealth.max(axis=1))
-    assert np.all(batch.running_max >= batch.config.w0)
+    assert np.all(batch.checkpoint_running_max[:, -1] >= batch.checkpoint_wealth.max(axis=1))
+    assert np.all(batch.checkpoint_running_max >= batch.config.w0)
 
 
 # -------------------------------------------------- expectation oracles
@@ -184,7 +198,7 @@ def test_enumeration_guard():
     expected_wealth_enumeration,
 ])
 def test_closed_forms_validate_the_game(closed_form):
-    for w0, p, F, N in ((0.0, 0.52, 0.04, 10), (1.0, 1.5, 0.04, 10),
+    for w0, p, F, N in ((0.0, 0.52, 0.04, 10), (math.inf, 0.52, 0.04, 10), (1.0, 1.5, 0.04, 10),
                         (1.0, 0.52, -0.1, 10), (1.0, 0.52, 0.04, 0)):
         with pytest.raises(DomainError):
             closed_form(w0, p, F, N)
@@ -225,14 +239,15 @@ def test_full_stake_ruin_is_absorbed_at_zero():
         SimConfig(w0=1000.0, p=0.52, F=1.0, N=N, paths=20_000, seed=9)
     )
     # every ruined path is absorbed at exactly zero, survivors double each win
-    assert np.all(batch.final_wealth[batch.ruined] == 0.0)
-    assert np.all(batch.final_wealth[~batch.ruined] == 1000.0 * 2.0**N)
+    final = batch.checkpoint_wealth[:, -1]
+    assert np.all(final[batch.ruined] == 0.0)
+    assert np.all(final[~batch.ruined] == 1000.0 * 2.0**N)
 
 
 def test_certain_win_full_stake_doubles_every_trial():
     for N, paths in ((30, 10), (50, 100)):
         batch = simulate(SimConfig(w0=1000.0, p=1.0, F=1.0, N=N, paths=paths, seed=0))
-        assert np.all(batch.final_wealth == 1000.0 * 2.0**N)
+        assert np.all(batch.checkpoint_wealth[:, -1] == 1000.0 * 2.0**N)
 
 
 def test_ruin_probability_closed_form():
@@ -293,7 +308,7 @@ def test_decomposition_recovers_expectation_split():
 def test_zero_stake_decomposition_is_trivial():
     batch = simulate(small_config(F=0.0, p=0.52))
     dec = doob_decompose(batch)
-    assert np.all(batch.final_wealth == 1000.0)
+    assert np.all(batch.checkpoint_wealth[:, -1] == 1000.0)
     assert np.all(dec.martingale_part == 1000.0)
     assert np.all(dec.drift == 0.0)
 

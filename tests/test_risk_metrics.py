@@ -145,7 +145,7 @@ def test_variance_oracle_matches_monte_carlo():
     N, p, F, paths = 50, 0.52, 0.04, 40_000
     rep = variance_report(1000.0, N, p, F)
     batch = simulate(SimConfig(w0=1000.0, p=p, F=F, N=N, paths=paths, seed=21))
-    w = batch.final_wealth
+    w = batch.checkpoint_wealth[:, -1]
     sample_var = float(np.var(w, ddof=1))
     # standard error of the sample variance from the fourth central moment
     m4 = float(np.mean((w - np.mean(w)) ** 4))
