@@ -40,7 +40,7 @@ from . import (
     utility,
     utility_curve,
 )
-from .errors import KellyBenchError
+from .errors import DomainError, KellyBenchError, ResourceGuardError
 from .risk_metrics import _check_variance_fits
 from .utility_kelly import regime_partition
 from .verify import run_verification
@@ -173,17 +173,21 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
 
     lam_ref = args.lam if args.lam is not None else 1.5 * config.w0
     rows = []
-    for j, cp in enumerate(config.checkpoints):
-        w_cp = batch.checkpoint_wealth[:, j]
-        rows.append([
-            cp,
-            float(np.mean(w_cp)),
-            float(np.var(w_cp, ddof=1)),
-            float(np.mean(dec.martingale_part[:, j])) if dec is not None else float("nan"),
-            float(np.mean(batch.checkpoint_running_max[:, j] >= lam_ref)),
-            doob_bound(config.w0, config.p, F, cp, lam_ref),
-        ])
-    lam_grid = np.linspace(1.01, 2.0, 20) * config.w0
+    try:
+        with np.errstate(over="raise"):  # zero-variance games pass the guards at any w0
+            for j, cp in enumerate(config.checkpoints):
+                w_cp = batch.checkpoint_wealth[:, j]
+                rows.append([
+                    cp,
+                    float(np.mean(w_cp)),
+                    float(np.var(w_cp, ddof=1)),
+                    float(np.mean(dec.martingale_part[:, j])) if dec else float("nan"),
+                    float(np.mean(batch.checkpoint_running_max[:, j] >= lam_ref)),
+                    doob_bound(config.w0, config.p, F, cp, lam_ref),
+                ])
+            lam_grid = np.linspace(1.01, 2.0, 20) * config.w0
+    except FloatingPointError as exc:
+        raise ResourceGuardError(f"simulate summary overflows float64: {exc}") from None
     chk = log_drift_check(batch)
     return 0, [
         ("trajectories_summary.csv",
@@ -197,7 +201,10 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
 
 
 def cmd_tradeoff(args, parser) -> tuple[int, list[Table]]:
-    f_grid = [float(tok) for tok in args.f.split(",")]
+    try:
+        f_grid = [float(tok) for tok in args.f.split(",")]
+    except ValueError as exc:  # the message names the bad entry
+        raise DomainError(f"--f: {exc}") from None
     rows = tradeoff_table(args.p, f_grid, args.n, args.w0)
     return 0, [(
         "tradeoff.csv",
@@ -244,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--paths", type=int, default=10000)
     ps.add_argument("--w0", type=float, default=1000.0)
     ps.add_argument("--seed", type=int, default=_DEFAULT_SEED)
-    ps.add_argument("--threads", type=int, default=1)
+    ps.add_argument("--threads", type=int, default=1, help="accepted; no effect (one thread)")
     ps.add_argument("--lam", type=float, default=None,
                     help="reference threshold for the per-checkpoint sup table")
     ps.add_argument("--out", type=str, default=None)

@@ -4,14 +4,13 @@ Wealth evolves multiplicatively, W(I) = W(I-1) * (1 + F*Z(I)); the product
 form is algebraically identical to the additive random-walk form but avoids
 cancellation. Path k's uniforms are exactly
 `np.random.default_rng((seed, k)).random(N)`, so results are bitwise
-reproducible regardless of chunking, thread count, or evaluation order.
-Building one `default_rng` per path spends most of its time in NumPy's
-SeedSequence hash, so `_pcg64_states` computes the PCG64 starting states of
-a whole chunk of paths at once, in uint64 arrays, and the chunk then draws
-from one native generator whose state it sets per path; the tests check
-those states against NumPy's own. Full paths are never kept: a check needs
-only the win counts and, at each checkpoint I, W(I) and max W(0..I); the
-last checkpoint is always N.
+reproducible regardless of chunking. Building one `default_rng` per path
+spends most of its time in NumPy's SeedSequence hash, so `_pcg64_states`
+computes the PCG64 starting states of a whole chunk of paths at once, in
+uint64 arrays, and the chunk then draws from one native generator whose
+state it sets per path; the tests check those states against NumPy's own.
+Full paths are never kept: a check needs only the win counts and, at each
+checkpoint I, W(I) and max W(0..I); the last checkpoint is always N.
 
 The regime statements are verified at the level where they are literally
 true: the drift of log-wealth has the sign of U(F, p). The exact one-step
@@ -22,7 +21,6 @@ for any F > 0 when p > 1/2, and is exposed here as errata evidence.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +73,7 @@ class SimConfig:
     N: int
     paths: int
     seed: int
-    threads: int = 1
+    threads: int = 1  # validated but unused: simulate runs in one thread
 
     def __post_init__(self) -> None:
         _check_game(self.w0, self.p, self.F, self.N)
@@ -238,9 +236,8 @@ def simulate(config: SimConfig) -> TrajectoryBatch:
     """Run the configured batch of independent trajectories.
 
     Reproducibility contract: identical config (seed included) yields a
-    bitwise-identical batch for any thread count, because path k draws
-    exactly `np.random.default_rng((seed, k)).random(N)` and each chunk
-    writes only its own rows of the preallocated batch.
+    bitwise-identical batch, because path k draws exactly
+    `np.random.default_rng((seed, k)).random(N)`.
     """
     if config.paths * config.N > MAX_TOTAL_STEPS:
         raise ResourceGuardError(
@@ -253,13 +250,8 @@ def simulate(config: SimConfig) -> TrajectoryBatch:
         checkpoint_wealth=np.empty(shape),
         checkpoint_running_max=np.empty(shape),
     )
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        futures = [
-            pool.submit(_simulate_chunk, batch, s, min(s + _CHUNK, config.paths))
-            for s in range(0, config.paths, _CHUNK)
-        ]
-        for f in futures:
-            f.result()
+    for start in range(0, config.paths, _CHUNK):
+        _simulate_chunk(batch, start, min(start + _CHUNK, config.paths))
     return batch
 
 

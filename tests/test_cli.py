@@ -222,10 +222,13 @@ def test_tradeoff_high_edge_and_overflow(tmp_path, capsys):
     ["simulate", "--p", "0.9", "--stake", "0.8", "--n", "1000", "--paths", "200"],  # Var[W] too
     ["simulate", *SIM_ARGS, "--seed", "-1"],
     ["simulate", "--p", "0.52", "--kelly", "--n", "10", "--paths", "200", "--w0", "inf"],
+    # zero variance passes the guards, but the cross-path mean overflows
+    ["simulate", "--p", "0.52", "--stake", "0", "--n", "100", "--paths", "200", "--w0", "1e308"],
     ["tradeoff", "--p", "0.52", "--w0", "inf"],
+    ["tradeoff", "--p", "0.52", "--f", "0.5,abc"],
     ["verify", "--quick", "--seed", "-1"],
 ], ids=["simulate", "analyze", "simulate-overflow", "simulate-variance", "simulate-seed",
-        "simulate-w0", "tradeoff-w0", "verify-seed"])
+        "simulate-w0", "simulate-mean-overflow", "tradeoff-w0", "tradeoff-f", "verify-seed"])
 def test_failed_command_writes_no_csv(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err

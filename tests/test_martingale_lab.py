@@ -1,6 +1,7 @@
 """Seeded wealth simulation, expectation oracles, and martingale checks."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,7 @@ from kellybench import (
     ruin_probability_full_stake,
     simulate,
 )
+from kellybench import martingale_lab
 from kellybench.martingale_lab import _pcg64_states
 
 
@@ -46,6 +48,8 @@ def test_config_validation():
         small_config(F=-0.1)
     with pytest.raises(DomainError):
         small_config(paths=0)
+    with pytest.raises(DomainError):
+        small_config(threads=0)
     for seed in (-1, 1.5, "7", True):
         with pytest.raises(DomainError):
             small_config(seed=seed)
@@ -85,13 +89,23 @@ def test_simulation_is_bitwise_reproducible():
     assert np.array_equal(a.checkpoint_running_max, b.checkpoint_running_max)
 
 
-def test_thread_count_does_not_change_results():
+def test_thread_count_does_not_change_results(monkeypatch):
+    # every chunk runs in the calling thread, whatever the thread count
+    chunk_threads = []
+    simulate_chunk = martingale_lab._simulate_chunk
+
+    def recording_chunk(*args):
+        chunk_threads.append(threading.get_ident())
+        return simulate_chunk(*args)
+
+    monkeypatch.setattr(martingale_lab, "_simulate_chunk", recording_chunk)
     serial = simulate(small_config(paths=9000))
     for threads in (2, 4):
         parallel = simulate(small_config(paths=9000, threads=threads))
         assert np.array_equal(serial.wins, parallel.wins)
         assert np.array_equal(serial.checkpoint_wealth, parallel.checkpoint_wealth)
         assert np.array_equal(serial.checkpoint_running_max, parallel.checkpoint_running_max)
+    assert chunk_threads == [threading.get_ident()] * 9  # 3 runs x 3 chunks
 
 
 def test_seed_changes_results():
