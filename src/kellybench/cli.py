@@ -41,6 +41,7 @@ from . import (
     utility_curve,
 )
 from .errors import DomainError, KellyBenchError, ResourceGuardError
+from .martingale_lab import _MIN_DRIFT_PATHS
 from .risk_metrics import _check_variance_fits
 from .utility_kelly import regime_partition
 from .verify import run_verification
@@ -161,8 +162,12 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
         w0=args.w0, p=args.p, F=F, N=args.n, paths=args.paths,
         seed=args.seed, threads=args.threads,
     )
-    # the bounds below read E[W(cp)], which overflows only if E[W(N)] does,
-    # and var_W is Var[W(cp)]: fail on either before the batch is run
+    # fail before the batch is run: the drift row needs its paths, the bounds
+    # below read E[W(cp)], which overflows only if E[W(N)] does, and var_W
+    # is Var[W(cp)]
+    if config.paths < _MIN_DRIFT_PATHS:
+        raise DomainError(
+            f"drift check needs >= {_MIN_DRIFT_PATHS} paths, got {config.paths}")
     expected_wealth_linear(config.w0, config.p, F, config.N)
     for cp in config.checkpoints:
         _check_variance_fits(config.w0, config.p, F, cp)

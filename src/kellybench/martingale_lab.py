@@ -12,6 +12,15 @@ state it sets per path; the tests check those states against NumPy's own.
 Full paths are never kept: a check needs only the win counts and, at each
 checkpoint I, W(I) and max W(0..I); the last checkpoint is always N.
 
+A chunk's working set is fixed in bytes, not in paths: its draws are
+overwritten by the step factors and then by the wealth, so a path-step
+costs 8 B for the draw and 1 B for its outcome, and a chunk holds as many
+paths as fit in `_CHUNK_BYTES`. A horizon whose draws alone exceed that
+budget is cut into time tiles of one path each; W, max W and the win count
+are carried from tile to tile, so memory does not grow with N. Ruin is a
+loss at full stake, read from the win counts, never from a wealth that
+underflows to 0.0.
+
 The regime statements are verified at the level where they are literally
 true: the drift of log-wealth has the sign of U(F, p). The exact one-step
 conditional expectation ratio E[W(I+1)|W(I)] / W(I) = 1 + F(2p-1) exceeds 1
@@ -31,7 +40,14 @@ from .utility_kelly import _check_fp, utility
 # hard ceiling on paths * N
 MAX_TOTAL_STEPS = 10**9
 
-_CHUNK = 4096
+# working-set budget of one chunk: 8 B of draws and 1 B of outcomes a path-step
+_CHUNK_BYTES = 4 << 20
+
+# fewest paths whose log drift has a meaningful standard error
+_MIN_DRIFT_PATHS = 100
+
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LOG_FLOAT_TINY = math.log(np.finfo(float).tiny)
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32 words
 _MASK32 = 0xFFFFFFFF
@@ -101,8 +117,12 @@ class TrajectoryBatch:
 
     @property
     def ruined(self) -> np.ndarray:
-        """Per-path flag: wealth absorbed at 0 by trial N."""
-        return self.checkpoint_wealth[:, -1] == 0.0
+        """Per-path flag: a loss at full stake, which absorbs wealth at 0.
+
+        Read from the win counts: a wealth that underflows to 0.0 at F < 1
+        still has a finite log.
+        """
+        return (self.config.F == 1.0) & (self.wins < self.config.N)
 
     @property
     def log_growth_per_trial(self) -> np.ndarray:
@@ -200,36 +220,57 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     return out
 
 
-def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int) -> None:
-    """Simulate paths [start, stop) into their rows of the batch."""
+def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) -> None:
+    """Simulate paths [start, stop) into their rows of the batch, `tile`
+    steps at a time; a chunk cut into more than one tile is one path."""
     config = batch.config
-    n = stop - start
-    u = np.empty((n, config.N))
+    F, N = config.F, config.N
+    cps = np.asarray(config.checkpoints)
+    rows = slice(start, stop)
+    states = _pcg64_states(config.seed, start, stop)
+    # the working set: draws, overwritten by the factors and then the wealth,
+    # and their outcomes; a shorter last tile uses the front of each
+    u = np.empty((stop - start, tile))
+    win = np.empty(u.shape, dtype=bool)
     # one native generator, moved to each path's substream before its draws
     bit_gen = np.random.PCG64()
     gen = np.random.Generator(bit_gen)
-    for i, (state, inc) in enumerate(_pcg64_states(config.seed, start, stop)):
-        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                         "has_uint32": 0, "uinteger": 0}
-        # assigning the result beats random(out=...), whose checks cost more
-        # per call than the copy at short horizons
-        u[i] = gen.random(config.N)
-    win = u < config.p
-    # the factor 1 + F Z(I) is exactly 1.0 + F on a win and 1.0 - F on a loss
-    factors = np.where(win, 1.0 + config.F, 1.0 - config.F)
-    # fold w0 into the first step so cumprod performs the literal recursion
-    # W(I) = W(I-1) * (1 + F Z(I)) with one rounding per step
-    factors[:, 0] *= config.w0
-    wealth = np.cumprod(factors, axis=1)
-    cps = np.asarray(config.checkpoints)
-    rows = slice(start, stop)
-    batch.wins[rows] = win.sum(axis=1)
-    batch.checkpoint_wealth[rows] = wealth[:, cps - 1]
-    # max over each segment (previous checkpoint, checkpoint], then a prefix
-    # max from w0; max does not round, so this is max W(0..I) exactly
-    seg = np.maximum.reduceat(wealth, np.r_[0, cps[:-1]], axis=1)
-    batch.checkpoint_running_max[rows] = np.maximum.accumulate(
-        np.maximum(config.w0, seg), axis=1)
+    # carried from tile to tile: W and max W(0..I) where the tile starts, and wins
+    wealth = np.full(stop - start, config.w0)
+    top = wealth.copy()
+    wins = np.zeros(stop - start, dtype=np.int64)
+    for t0 in range(0, N, tile):
+        width = min(tile, N - t0)
+        x, won = u[:, :width], win[:, :width]
+        if t0 == 0:
+            for i, (state, inc) in enumerate(states):
+                bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                                 "has_uint32": 0, "uinteger": 0}
+                gen.random(out=x[i])
+        else:  # the one path's stream goes on where the last tile stopped
+            gen.random(out=x[0])
+        np.less(x, config.p, out=won)
+        wins += won.sum(axis=1)
+        # the factor 1 + F Z(I) is exactly 1.0 + F on a win and 1.0 - F on a
+        # loss; it is written over the spent draws
+        np.copyto(x, 1.0 - F)
+        np.copyto(x, 1.0 + F, where=won)
+        # fold the carried wealth (w0 on the first tile) into the first step so
+        # cumprod performs the literal recursion W(I) = W(I-1) * (1 + F Z(I))
+        # with one rounding per step
+        x[:, 0] *= wealth
+        np.cumprod(x, axis=1, out=x)
+        in_tile = (cps > t0) & (cps <= t0 + width)
+        ends = cps[in_tile] - t0  # the tile's checkpoints, as columns from 1
+        batch.checkpoint_wealth[rows, in_tile] = x[:, ends - 1]
+        # max over each segment (previous checkpoint, checkpoint] of the tile,
+        # then a prefix max from the carried max; max does not round, so this
+        # is max W(0..I) exactly
+        seg = np.maximum.reduceat(x, np.r_[0, ends[ends < width]], axis=1)
+        run = np.maximum.accumulate(np.maximum(top[:, None], seg), axis=1)
+        batch.checkpoint_running_max[rows, in_tile] = run[:, :ends.size]
+        wealth, top = x[:, -1].copy(), run[:, -1]
+    batch.wins[rows] = wins
 
 
 def simulate(config: SimConfig) -> TrajectoryBatch:
@@ -250,8 +291,12 @@ def simulate(config: SimConfig) -> TrajectoryBatch:
         checkpoint_wealth=np.empty(shape),
         checkpoint_running_max=np.empty(shape),
     )
-    for start in range(0, config.paths, _CHUNK):
-        _simulate_chunk(batch, start, min(start + _CHUNK, config.paths))
+    # the horizon is one tile unless one path's draws exceed the budget
+    tile = min(config.N, _CHUNK_BYTES // 8)
+    # a path's draws and outcomes, plus under 0.5 kB while its seed state is built
+    chunk = max(1, _CHUNK_BYTES // (9 * tile + 512))
+    for start in range(0, config.paths, chunk):
+        _simulate_chunk(batch, start, min(start + chunk, config.paths), tile)
     return batch
 
 
@@ -264,16 +309,19 @@ def conditional_growth_factor(p: float, F: float) -> float:
 def expected_wealth_linear(w0: float, p: float, F: float, N: int) -> float:
     """Closed form w0 * (1 + F(2p-1))^N for E[W(N)].
 
-    A power beyond float64 range is a ResourceGuardError, not an
-    OverflowError escaping to the caller.
+    A value beyond float64 range is a ResourceGuardError, not an
+    OverflowError escaping to the caller. The test is on log w0 + N log g,
+    since a small w0 brings some g^N beyond float64 back into range.
     """
     _check_game(w0, p, F, N)
+    g = 1.0 + F * (2.0 * p - 1.0)
+    log_mean = math.log(w0) + N * math.log(g) if g > 0.0 else -math.inf
+    if log_mean > _LOG_FLOAT_MAX:
+        raise ResourceGuardError(f"expected wealth overflows float64 at N={N}, F={F!r}")
     try:
-        return w0 * (1.0 + F * (2.0 * p - 1.0)) ** N
-    except OverflowError:
-        raise ResourceGuardError(
-            f"expected wealth overflows float64 at N={N}, F={F!r}"
-        ) from None
+        return w0 * g**N
+    except OverflowError:  # g^N alone is beyond float64, w0 g^N is not
+        return math.exp(log_mean)
 
 
 def expected_wealth_product(w0: float, p: float, F: float, N: int) -> float:
@@ -312,15 +360,17 @@ def expected_wealth_enumeration(w0: float, p: float, F: float, N: int) -> float:
 def log_drift_check(batch: TrajectoryBatch) -> DriftCheck:
     """Empirical per-trial log drift against the closed-form U(F, p).
 
-    Ruined full-stake paths have no finite log and are excluded with a
-    count; requires at least 100 surviving paths for a meaningful SE.
+    It reads the config and the win counts only. Ruined full-stake paths
+    have no finite log and are excluded with a count; requires at least 100
+    surviving paths for a meaningful SE.
     """
     cfg = batch.config
-    rates = batch.log_growth_per_trial[~batch.ruined]
-    excluded = int(np.count_nonzero(batch.ruined))
-    if rates.size < 100:
+    ruined = batch.ruined
+    rates = batch.log_growth_per_trial[~ruined]
+    excluded = int(np.count_nonzero(ruined))
+    if rates.size < _MIN_DRIFT_PATHS:
         raise DomainError(
-            f"drift check needs >= 100 surviving paths, got {rates.size}"
+            f"drift check needs >= {_MIN_DRIFT_PATHS} surviving paths, got {rates.size}"
         )
     theory = utility(cfg.F, cfg.p)
     empirical = float(np.mean(rates))
@@ -353,7 +403,9 @@ def doob_bound(w0: float, p: float, F: float, N: int, lam: float) -> float:
     """
     if not (lam > 0.0):
         raise DomainError(f"threshold {lam!r} must be positive")
-    return min(1.0, max(w0, expected_wealth_linear(w0, p, F, N)) / lam)
+    ceiling = max(w0, expected_wealth_linear(w0, p, F, N))
+    # compared before the division, which can overflow for a tiny lambda
+    return 1.0 if ceiling >= lam else ceiling / lam
 
 
 def empirical_sup_prob(batch: TrajectoryBatch, lam: float) -> float:
@@ -378,8 +430,16 @@ def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:
         )
     g = conditional_growth_factor(cfg.p, cfg.F)
     cps = np.asarray(cfg.checkpoints, dtype=float)
-    mart = batch.checkpoint_wealth * g ** (-cps)
-    drift = cfg.w0 * g**cps - cfg.w0
+    log_growth = cps * math.log(g)
+    if log_growth[-1] <= -_LOG_FLOAT_TINY:
+        mart = batch.checkpoint_wealth * g ** (-cps)
+        drift = cfg.w0 * g**cps - cfg.w0
+    else:
+        # g^-I is below the normal floats, though W(I) g^-I and w0 g^I need
+        # not be (w0 < 1): take both in log space; M(I) = 0 where W(I) is
+        with np.errstate(divide="ignore"):
+            mart = np.exp(np.log(batch.checkpoint_wealth) - log_growth)
+        drift = np.exp(math.log(cfg.w0) + log_growth) - cfg.w0
     return DoobDecomposition(
         checkpoints=cfg.checkpoints,
         martingale_part=mart,

@@ -16,7 +16,7 @@ from scipy.special import logsumexp
 
 from .errors import ApproximationDomainError, DomainError, ResourceGuardError
 from .bernoulli_core import BinomialSpec, TrialCounts, log_pmf_array
-from .martingale_lab import _check_game, expected_wealth_linear
+from .martingale_lab import _LOG_FLOAT_MAX, _check_game, expected_wealth_linear
 from .utility_kelly import kelly_fraction, utility
 
 # enumeration oracle cap for the variance report
@@ -24,8 +24,6 @@ VARIANCE_ORACLE_GUARD = 10**4
 
 # guard on the stake for the binomial-series wealth expansion
 WEALTH_APPROX_MAX_F = 0.2
-
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)

@@ -76,7 +76,7 @@ def test_criterion_09_variance_reporting():
 
 
 def test_criterion_11_reproducibility(tmp_path):
-    # 5 000 paths span two 4 096-path chunks, so bytes are compared across chunks too
+    # 5 000 paths of 500 steps span six 4 MB chunks, so bytes are compared across chunks too
     args = ["simulate", "--p", "0.52", "--kelly", "--n", "500", "--paths", "5000",
             "--seed", str(SEED)]
     outs = [tmp_path / n for n in ("a", "b", "c")]

@@ -111,6 +111,48 @@ def test_simulate_variance_just_below_float_limit(tmp_path):
     assert all(math.isfinite(float(dict(zip(header, row))["var_W"])) for row in rows)
 
 
+@pytest.mark.parametrize("n", [3300, 3500])
+def test_simulate_wealth_underflow_is_not_ruin(tmp_path, n):
+    # the low-win paths' wealth underflows to 0.0 at F = 1/2; they keep their
+    # finite log growth, so no path is dropped and the drift is unbiased
+    argv = ["simulate", "--p", "0.45", "--stake", "0.5", "--n", str(n), "--paths", "2000",
+            "--seed", "1", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    header, rows = read_rows(tmp_path / "drift.csv")
+    drift = dict(zip(header, rows[0]))
+    assert drift["excluded_ruined"] == "0"
+    assert abs(float(drift["z_score"])) <= 3.0
+
+
+def test_simulate_every_path_underflowing(tmp_path):
+    argv = ["simulate", "--p", "0.3", "--stake", "0.5", "--n", "3000", "--paths", "300"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "drift.csv")
+    assert dict(zip(header, rows[0]))["excluded_ruined"] == "0"
+
+
+def test_simulate_refuses_few_paths_before_the_batch(tmp_path, capsys, monkeypatch):
+    def no_batch(config):
+        raise AssertionError("the batch ran")
+
+    monkeypatch.setattr("kellybench.cli.simulate", no_batch)
+    # a RuntimeWarning from np.var(ddof=1) would fail this test
+    argv = ["simulate", "--p", "0.52", "--kelly", "--n", "10", "--paths", "1"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    assert "needs >= 100 paths" in capsys.readouterr().err
+
+
+def test_simulate_small_w0_with_large_growth(tmp_path):
+    # g^1500 alone overflows float64, but E[W(N)] = w0 g^N is about 1e122
+    argv = ["simulate", "--p", "0.9", "--stake", "0.8", "--n", "1500", "--paths", "200",
+            "--w0", "1e-200"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "trajectories_summary.csv")
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+    _, rows = read_rows(tmp_path / "doob.csv")
+    assert all(float(bound) == 1.0 for _, _, bound in rows)
+
+
 def test_simulate_requires_exactly_one_stake_mode(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--p", "0.52", "--n", "10", "--paths", "200", "--out", str(tmp_path)])
@@ -286,7 +328,7 @@ PINNED_CSVS = {
         "trajectories_summary.csv":
             "afb4ce19a5e80c737524697de105c824dcce9874ed3dbeaf9bd427157e1d6591",
     }),
-    # 4 100 paths cross the 4 096-path chunk edge, split over two threads
+    # 4 100 paths and --threads 2, which has no effect; one 4 MB chunk at N = 40
     "simulate-chunks": (["simulate", "--p", "0.52", "--kelly", "--n", "40", "--paths", "4100",
                          "--seed", "5", "--threads", "2"], {
         "doob.csv": "f2b83e923b21169f1f8cb49a982402ff2b1431f563d8afe5002ff56122452328",

@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,17 +66,30 @@ def test_resource_guard_on_total_steps():
         simulate(small_config(N=100_000, paths=100_000))
 
 
-def test_simulate_peak_memory_is_bounded_per_path_step():
-    # a chunk holds its draws, outcomes, factors and wealth; nothing more of
-    # the horizon, so the traced peak stays below 3.5 float64 per path-step
-    cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=500, paths=2000, seed=1)
+def traced_peak(cfg: SimConfig) -> int:
     tracemalloc.start()
     try:
         simulate(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 8 * cfg.paths * cfg.N
+
+
+def test_simulate_peak_memory_is_bounded_per_path_step():
+    # a chunk holds its draws, overwritten by the factors and then the
+    # wealth, and their outcomes; nothing more of the horizon, so the traced
+    # peak stays below 1.5 float64 per path-step
+    cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=500, paths=2000, seed=1)
+    assert traced_peak(cfg) <= 1.5 * 8 * cfg.paths * cfg.N
+
+
+def test_simulate_peak_memory_does_not_grow_with_horizon():
+    # one path's draws exceed the chunk budget, so the horizon is cut into
+    # time tiles: the traced peak is the budget's, whatever N is
+    peaks = [traced_peak(SimConfig(w0=1.0, p=0.5, F=0.01, N=N, paths=1, seed=1))
+             for N in (1_000_000, 2_000_000)]
+    assert peaks[1] <= 1.01 * peaks[0]
+    assert peaks[1] <= 1.25 * martingale_lab._CHUNK_BYTES
 
 
 # ------------------------------------------------------ reproducibility
@@ -132,13 +146,46 @@ def test_pcg64_states_match_numpy(seed):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_path_k_draws_numpy_substream_seed_k(threads):
-    # 4100 paths span two chunks; the seed takes two entropy words
-    seed, N, p = 2**32 + 17, 20, 0.52
+    # 4100 paths of 500 steps span five chunks; the seed takes two entropy words
+    seed, N, p = 2**32 + 17, 500, 0.52
     batch = simulate(SimConfig(w0=1.0, p=p, F=0.04, N=N, paths=4100, seed=seed,
                                threads=threads))
     oracle = [int((np.random.default_rng((seed, k)).random(N) < p).sum())
               for k in range(4100)]
     assert batch.wins.tolist() == oracle
+
+
+KERNEL_CONFIGS = {
+    "growth": small_config(N=100, paths=30),
+    "decay": small_config(N=100, paths=30, p=0.45, F=0.5),
+    "full-stake": small_config(N=100, paths=30, F=1.0),
+}
+
+
+@pytest.mark.parametrize("budget, tile, chunk", [
+    (4000, 100, 2),  # 2-path chunks, the horizon in one tile
+    (296, 37, 1),  # 37-step tiles: checkpoints inside tiles, a short last tile
+    (200, 25, 1),  # 25-step tiles: every checkpoint on a tile edge
+    (8, 1, 1),  # a tile per step
+])
+@pytest.mark.parametrize("name", KERNEL_CONFIGS)
+def test_chunks_and_time_tiles_keep_the_bytes(monkeypatch, name, budget, tile, chunk):
+    cfg = KERNEL_CONFIGS[name]
+    default = simulate(cfg)
+    calls = []
+    simulate_chunk = martingale_lab._simulate_chunk
+
+    def recording_chunk(batch, start, stop, steps):
+        calls.append((stop - start, steps))
+        return simulate_chunk(batch, start, stop, steps)
+
+    monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
+    monkeypatch.setattr(martingale_lab, "_simulate_chunk", recording_chunk)
+    small = simulate(cfg)
+    assert calls == [(chunk, tile)] * (cfg.paths // chunk)
+    assert np.array_equal(small.wins, default.wins)
+    assert np.array_equal(small.checkpoint_wealth, default.checkpoint_wealth)
+    assert np.array_equal(small.checkpoint_running_max, default.checkpoint_running_max)
 
 
 # ------------------------------------------------------ exact recursion
@@ -198,6 +245,30 @@ def test_exponential_estimate_tracks_linear_form_for_small_stakes():
     )
     with pytest.raises(ApproximationDomainError):
         expected_wealth_exponential(1.0, 0.52, 0.2, 10)
+
+
+def test_linear_expectation_is_guarded_in_log_space():
+    # g^N alone leaves float64 here, but w0 g^N ~ 1e122 does not
+    g = 1.0 + 0.8 * (2 * 0.9 - 1.0)
+    exact = float(Fraction(1e-200) * Fraction(g) ** 1500)
+    assert expected_wealth_linear(1e-200, 0.9, 0.8, 1500) == pytest.approx(exact, rel=1e-12)
+    with pytest.raises(ResourceGuardError):  # g^N itself beyond float64
+        expected_wealth_linear(1.0, 0.9, 0.8, 1500)
+    with pytest.raises(ResourceGuardError):  # g^N fits, w0 g^N does not
+        expected_wealth_linear(1e300, 0.9, 0.8, 40)
+    assert expected_wealth_linear(1.0, 0.0, 1.0, 5) == 0.0
+
+
+def test_decomposition_where_g_power_leaves_float64():
+    # g^1500 ~ e^742: M(I) and A(I) are taken in log space, with no warning
+    cfg = SimConfig(w0=1e-200, p=0.9, F=0.8, N=1500, paths=200, seed=1)
+    batch = simulate(cfg)
+    dec = doob_decompose(batch)
+    for j, cp in enumerate(dec.checkpoints):
+        expected = expected_wealth_linear(cfg.w0, cfg.p, cfg.F, cp)
+        assert dec.drift[j] + cfg.w0 == pytest.approx(expected, rel=1e-12)
+        w = batch.checkpoint_wealth[:, j]
+        assert np.allclose(dec.martingale_part[:, j], w * (cfg.w0 / expected), rtol=1e-12)
 
 
 def test_enumeration_guard():
@@ -262,6 +333,18 @@ def test_certain_win_full_stake_doubles_every_trial():
     for N, paths in ((30, 10), (50, 100)):
         batch = simulate(SimConfig(w0=1000.0, p=1.0, F=1.0, N=N, paths=paths, seed=0))
         assert np.all(batch.checkpoint_wealth[:, -1] == 1000.0 * 2.0**N)
+
+
+def test_ruin_is_read_from_win_counts():
+    # at p = 0.3 and F = 1/2 every path's wealth underflows to 0.0 by N = 3000,
+    # yet none lost at full stake: each keeps a finite log growth
+    batch = simulate(SimConfig(w0=1.0, p=0.3, F=0.5, N=3000, paths=300, seed=1))
+    assert np.all(batch.checkpoint_wealth[:, -1] == 0.0)
+    assert not batch.ruined.any()
+    assert np.all(np.isfinite(batch.log_growth_per_trial))
+    chk = log_drift_check(batch)
+    assert chk.excluded_ruined == 0
+    assert abs(chk.z_score) <= 3.0
 
 
 def test_ruin_probability_closed_form():
