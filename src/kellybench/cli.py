@@ -193,7 +193,10 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
             lam_grid = np.linspace(1.01, 2.0, 20) * config.w0
     except FloatingPointError as exc:
         raise ResourceGuardError(f"simulate summary overflows float64: {exc}") from None
-    chk = log_drift_check(batch)
+    chk = log_drift_check(config, batch.wins)
+    if math.isnan(chk.theory):
+        print(f"drift: U(1, {config.p!r}) is -inf at full stake; theory and z_score "
+              "written as nan", file=sys.stderr)
     return 0, [
         ("trajectories_summary.csv",
          ["I", "mean_W", "var_W", "mean_M", "empirical_sup_prob", "doob_bound"], rows),

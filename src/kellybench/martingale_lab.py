@@ -12,6 +12,12 @@ state it sets per path; the tests check those states against NumPy's own.
 Full paths are never kept: a check needs only the win counts and, at each
 checkpoint I, W(I) and max W(0..I); the last checkpoint is always N.
 
+There is one sampler and two readers. `_draw` seeds, sets and draws a
+chunk's paths, tile by tile, and counts their wins. `simulate` writes each
+tile's wealth over its draws; `win_counts` keeps the counts only, which is
+all that the log drift and the full-stake ruin law depend on, so the
+registry's drift and ruin rows draw no wealth. The draw never reads F.
+
 A chunk's working set is fixed in bytes, not in paths: its draws are
 overwritten by the step factors and then by the wealth, so a path-step
 costs 8 B for the draw and 1 B for its outcome, and a chunk holds as many
@@ -30,6 +36,8 @@ for any F > 0 when p > 1/2, and is exposed here as errata evidence.
 from __future__ import annotations
 
 import math
+from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,23 +125,28 @@ class TrajectoryBatch:
 
     @property
     def ruined(self) -> np.ndarray:
-        """Per-path flag: a loss at full stake, which absorbs wealth at 0.
-
-        Read from the win counts: a wealth that underflows to 0.0 at F < 1
-        still has a finite log.
-        """
-        return (self.config.F == 1.0) & (self.wins < self.config.N)
+        """Per-path flag: a loss at full stake, which absorbs wealth at 0."""
+        return _ruined(self.config, self.wins)
 
     @property
     def log_growth_per_trial(self) -> np.ndarray:
         """Per-path mean log increment; -inf on ruined paths."""
-        cfg = self.config
-        losses = cfg.N - self.wins
-        if cfg.F == 1.0:
-            out = np.where(self.ruined, -np.inf, self.wins * math.log(2.0))
-        else:
-            out = self.wins * math.log1p(cfg.F) + losses * math.log1p(-cfg.F)
-        return out / cfg.N
+        return _log_growth_per_trial(self.config, self.wins)
+
+
+def _ruined(config: SimConfig, wins: np.ndarray) -> np.ndarray:
+    """Per-path flag of a loss at full stake, read from the win counts: a
+    wealth that underflows to 0.0 at F < 1 still has a finite log."""
+    return (config.F == 1.0) & (wins < config.N)
+
+
+def _log_growth_per_trial(config: SimConfig, wins: np.ndarray) -> np.ndarray:
+    """Per-path mean log increment, from the win counts; -inf on ruined paths."""
+    if config.F == 1.0:
+        out = np.where(_ruined(config, wins), -np.inf, wins * math.log(2.0))
+    else:
+        out = wins * math.log1p(config.F) + (config.N - wins) * math.log1p(-config.F)
+    return out / config.N
 
 
 @dataclass(frozen=True)
@@ -220,27 +233,42 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
     return out
 
 
-def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) -> None:
-    """Simulate paths [start, stop) into their rows of the batch, `tile`
-    steps at a time; a chunk cut into more than one tile is one path."""
-    config = batch.config
-    F, N = config.F, config.N
-    cps = np.asarray(config.checkpoints)
-    rows = slice(start, stop)
+def _chunks(config: SimConfig) -> Iterator[tuple[int, int, int]]:
+    """The (start, stop, tile) of each chunk of the batch, in path order.
+
+    The guard on paths * N runs on the call, before any chunk is drawn.
+    """
+    if config.paths * config.N > MAX_TOTAL_STEPS:
+        raise ResourceGuardError(
+            f"{config.paths} paths x {config.N} steps exceeds {MAX_TOTAL_STEPS}"
+        )
+    # the horizon is one tile unless one path's draws exceed the budget
+    tile = min(config.N, _CHUNK_BYTES // 8)
+    # a path's draws and outcomes, plus under 0.5 kB while its seed state is built
+    chunk = max(1, _CHUNK_BYTES // (9 * tile + 512))
+    return ((start, min(start + chunk, config.paths), tile)
+            for start in range(0, config.paths, chunk))
+
+
+def _draw(config: SimConfig, start: int, stop: int, tile: int,
+          wins: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Draw paths [start, stop) `tile` steps at a time; a chunk cut into
+    more than one tile is one path.
+
+    Each tile's win counts are added to `wins`, the chunk's rows of a
+    zeroed count array. Yields (t0, u, won) per tile: the uniforms of steps
+    t0+1 .. t0+width and their outcomes u < p, in buffers that the next
+    tile reuses, so the caller may overwrite u. The draw never reads F.
+    """
     states = _pcg64_states(config.seed, start, stop)
-    # the working set: draws, overwritten by the factors and then the wealth,
-    # and their outcomes; a shorter last tile uses the front of each
+    # the working set; a shorter last tile uses the front of each buffer
     u = np.empty((stop - start, tile))
     win = np.empty(u.shape, dtype=bool)
     # one native generator, moved to each path's substream before its draws
     bit_gen = np.random.PCG64()
     gen = np.random.Generator(bit_gen)
-    # carried from tile to tile: W and max W(0..I) where the tile starts, and wins
-    wealth = np.full(stop - start, config.w0)
-    top = wealth.copy()
-    wins = np.zeros(stop - start, dtype=np.int64)
-    for t0 in range(0, N, tile):
-        width = min(tile, N - t0)
+    for t0 in range(0, config.N, tile):
+        width = min(tile, config.N - t0)
         x, won = u[:, :width], win[:, :width]
         if t0 == 0:
             for i, (state, inc) in enumerate(states):
@@ -251,6 +279,21 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
             gen.random(out=x[0])
         np.less(x, config.p, out=won)
         wins += won.sum(axis=1)
+        yield t0, x, won
+
+
+def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) -> None:
+    """Simulate paths [start, stop) into their rows of the batch, `tile`
+    steps at a time, writing each tile's wealth over its draws."""
+    config = batch.config
+    F = config.F
+    cps = np.asarray(config.checkpoints)
+    rows = slice(start, stop)
+    # carried from tile to tile: W and max W(0..I) where the tile starts
+    wealth = np.full(stop - start, config.w0)
+    top = wealth.copy()
+    for t0, x, won in _draw(config, start, stop, tile, batch.wins[rows]):
+        width = x.shape[1]
         # the factor 1 + F Z(I) is exactly 1.0 + F on a win and 1.0 - F on a
         # loss; it is written over the spent draws
         np.copyto(x, 1.0 - F)
@@ -270,7 +313,6 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
         run = np.maximum.accumulate(np.maximum(top[:, None], seg), axis=1)
         batch.checkpoint_running_max[rows, in_tile] = run[:, :ends.size]
         wealth, top = x[:, -1].copy(), run[:, -1]
-    batch.wins[rows] = wins
 
 
 def simulate(config: SimConfig) -> TrajectoryBatch:
@@ -280,24 +322,32 @@ def simulate(config: SimConfig) -> TrajectoryBatch:
     bitwise-identical batch, because path k draws exactly
     `np.random.default_rng((seed, k)).random(N)`.
     """
-    if config.paths * config.N > MAX_TOTAL_STEPS:
-        raise ResourceGuardError(
-            f"{config.paths} paths x {config.N} steps exceeds {MAX_TOTAL_STEPS}"
-        )
+    chunks = _chunks(config)
     shape = (config.paths, len(config.checkpoints))
     batch = TrajectoryBatch(
         config=config,
-        wins=np.empty(config.paths, dtype=np.int64),
+        wins=np.zeros(config.paths, dtype=np.int64),
         checkpoint_wealth=np.empty(shape),
         checkpoint_running_max=np.empty(shape),
     )
-    # the horizon is one tile unless one path's draws exceed the budget
-    tile = min(config.N, _CHUNK_BYTES // 8)
-    # a path's draws and outcomes, plus under 0.5 kB while its seed state is built
-    chunk = max(1, _CHUNK_BYTES // (9 * tile + 512))
-    for start in range(0, config.paths, chunk):
-        _simulate_chunk(batch, start, min(start + chunk, config.paths), tile)
+    for start, stop, tile in chunks:
+        _simulate_chunk(batch, start, stop, tile)
     return batch
+
+
+def win_counts(config: SimConfig) -> np.ndarray:
+    """Per-path win counts of the configured batch, drawing no wealth.
+
+    They equal `simulate(config).wins` bit for bit: the same chunks draw
+    the same substreams. F is not read, so configs that differ only in F
+    share one draw.
+    """
+    wins = np.zeros(config.paths, dtype=np.int64)
+    for start, stop, tile in _chunks(config):
+        # consumed without binding a tile, whose views would keep this
+        # chunk's buffers alive while the next chunk allocates its own
+        deque(_draw(config, start, stop, tile, wins[start:stop]), maxlen=0)
+    return wins
 
 
 def conditional_growth_factor(p: float, F: float) -> float:
@@ -357,25 +407,28 @@ def expected_wealth_enumeration(w0: float, p: float, F: float, N: int) -> float:
     return float(np.dot(probs, w))
 
 
-def log_drift_check(batch: TrajectoryBatch) -> DriftCheck:
-    """Empirical per-trial log drift against the closed-form U(F, p).
+def log_drift_check(config: SimConfig, wins: np.ndarray) -> DriftCheck:
+    """Empirical per-trial log drift of a batch's win counts against the
+    closed-form U(F, p).
 
-    It reads the config and the win counts only. Ruined full-stake paths
-    have no finite log and are excluded with a count; requires at least 100
-    surviving paths for a meaningful SE.
+    Ruined full-stake paths have no finite log and are excluded with a
+    count; requires at least 100 surviving paths for a meaningful SE. At
+    full stake with p < 1, U(1, p) is -inf and states nothing about the
+    survivors, so theory and z_score are nan.
     """
-    cfg = batch.config
-    ruined = batch.ruined
-    rates = batch.log_growth_per_trial[~ruined]
+    ruined = _ruined(config, wins)
+    rates = _log_growth_per_trial(config, wins)[~ruined]
     excluded = int(np.count_nonzero(ruined))
     if rates.size < _MIN_DRIFT_PATHS:
         raise DomainError(
             f"drift check needs >= {_MIN_DRIFT_PATHS} surviving paths, got {rates.size}"
         )
-    theory = utility(cfg.F, cfg.p)
+    theory = utility(config.F, config.p)
     empirical = float(np.mean(rates))
     se = float(np.std(rates, ddof=1) / math.sqrt(rates.size))
-    if se == 0.0:
+    if theory == -math.inf:
+        theory = z = math.nan
+    elif se == 0.0:
         z = 0.0 if empirical == theory else math.inf
     else:
         z = (empirical - theory) / se

@@ -20,7 +20,7 @@ claim's config, tolerance and expected verdict are written only here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -57,10 +57,11 @@ from . import (
     utility_entropy_identity,
     variance_report,
     wealth_approx,
+    win_counts,
 )
 from .bernoulli_core import _enumerated_count_moments
 from .entropy import binomial_entropy_forms
-from .martingale_lab import _check_seed
+from .martingale_lab import _check_seed, _ruined
 
 
 @dataclass(frozen=True)
@@ -225,11 +226,13 @@ def _claim_one_step_ratio(scale: Scale, seed: int) -> tuple:
 
 def _claim_drift_trichotomy(scale: Scale, seed: int) -> tuple:
     p = 0.52
+    base = SimConfig(w0=1.0, p=p, F=kelly_fraction(p), N=scale.N, paths=scale.paths, seed=seed)
+    # the draw does not read F: the three stakes share one set of win counts
+    wins = win_counts(base)
     zs = []
     signs_ok = True
     for F, want in ((kelly_fraction(p), 1), (f_star(p), 0), (0.2, -1)):
-        cfg = SimConfig(w0=1.0, p=p, F=F, N=scale.N, paths=scale.paths, seed=seed)
-        chk = log_drift_check(simulate(cfg))
+        chk = log_drift_check(replace(base, F=F), wins)
         zs.append(abs(chk.z_score))
         if want > 0:
             signs_ok &= chk.empirical_drift > 3 * chk.se
@@ -241,8 +244,7 @@ def _claim_drift_trichotomy(scale: Scale, seed: int) -> tuple:
 def _claim_ruin_law(scale: Scale, seed: int) -> tuple:
     p, N = 0.52, 50
     cfg = SimConfig(w0=1.0, p=p, F=1.0, N=N, paths=scale.paths, seed=seed)
-    batch = simulate(cfg)
-    emp = float(np.mean(batch.ruined))
+    emp = float(np.mean(_ruined(cfg, win_counts(cfg))))
     theory = ruin_probability_full_stake(p, N)
     se = math.sqrt(theory * (1 - theory) / scale.paths)
     return theory, emp, _rel(theory, emp), abs(emp - theory) <= 3 * se

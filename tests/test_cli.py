@@ -131,6 +131,21 @@ def test_simulate_every_path_underflowing(tmp_path):
     assert dict(zip(header, rows[0]))["excluded_ruined"] == "0"
 
 
+def test_simulate_full_stake_drift_has_no_theory(tmp_path, capsys):
+    # U(1, p) = -inf for p < 1: the survivors' drift log 2 has no finite
+    # theory to meet, so theory and z_score are nan, not -inf and inf
+    argv = ["simulate", "--p", "0.99", "--stake", "1", "--n", "5", "--paths", "1000"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "drift.csv")
+    drift = dict(zip(header, rows[0]))
+    assert drift["theory"] == drift["z_score"] == "nan"
+    assert float(drift["empirical_drift"]) == math.log(2.0)
+    assert float(drift["se"]) == 0.0
+    assert int(drift["excluded_ruined"]) > 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "nan" in err[0]
+
+
 def test_simulate_refuses_few_paths_before_the_batch(tmp_path, capsys, monkeypatch):
     def no_batch(config):
         raise AssertionError("the batch ran")

@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from kellybench import (
     log_drift_check,
     ruin_probability_full_stake,
     simulate,
+    win_counts,
 )
 from kellybench import martingale_lab
 from kellybench.martingale_lab import _pcg64_states
@@ -62,14 +64,15 @@ def test_default_checkpoints_are_quartiles():
 
 
 def test_resource_guard_on_total_steps():
-    with pytest.raises(ResourceGuardError):
-        simulate(small_config(N=100_000, paths=100_000))
+    for run in (simulate, win_counts):
+        with pytest.raises(ResourceGuardError):
+            run(small_config(N=100_000, paths=100_000))
 
 
-def traced_peak(cfg: SimConfig) -> int:
+def traced_peak(cfg: SimConfig, run=simulate) -> int:
     tracemalloc.start()
     try:
-        simulate(cfg)
+        run(cfg)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -90,6 +93,15 @@ def test_simulate_peak_memory_does_not_grow_with_horizon():
              for N in (1_000_000, 2_000_000)]
     assert peaks[1] <= 1.01 * peaks[0]
     assert peaks[1] <= 1.25 * martingale_lab._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(w0=1.0, p=0.52, F=0.04, N=500, paths=2000, seed=1),  # many chunks
+    SimConfig(w0=1.0, p=0.5, F=0.01, N=1_000_000, paths=1, seed=1),  # time tiles
+], ids=["chunks", "tiles"])
+def test_win_counts_peak_memory_is_no_higher_than_simulate(cfg):
+    # the same draw buffers, and none of the wealth summary's arrays
+    assert traced_peak(cfg, win_counts) <= traced_peak(cfg)
 
 
 # ------------------------------------------------------ reproducibility
@@ -186,6 +198,41 @@ def test_chunks_and_time_tiles_keep_the_bytes(monkeypatch, name, budget, tile, c
     assert np.array_equal(small.wins, default.wins)
     assert np.array_equal(small.checkpoint_wealth, default.checkpoint_wealth)
     assert np.array_equal(small.checkpoint_running_max, default.checkpoint_running_max)
+
+
+@pytest.mark.parametrize("budget, tile, chunk", [
+    (None, 100, 30),  # the default budget: the batch in one chunk
+    (4000, 100, 2),
+    (296, 37, 1),
+    (200, 25, 1),
+    (8, 1, 1),
+])
+@pytest.mark.parametrize("name", KERNEL_CONFIGS)
+def test_win_counts_equal_simulate_wins(monkeypatch, name, budget, tile, chunk):
+    cfg = KERNEL_CONFIGS[name]
+    wins = simulate(cfg).wins
+    calls = []
+    draw = martingale_lab._draw
+
+    def recording_draw(config, start, stop, steps, counts):
+        calls.append((stop - start, steps))
+        return draw(config, start, stop, steps, counts)
+
+    if budget is not None:
+        monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
+    monkeypatch.setattr(martingale_lab, "_draw", recording_draw)
+    counts = win_counts(cfg)
+    assert calls == [(chunk, tile)] * (cfg.paths // chunk)
+    assert counts.dtype == wins.dtype
+    assert np.array_equal(counts, wins)
+
+
+def test_win_counts_do_not_read_the_stake():
+    # so the drift row's three stakes can share one draw
+    cfg = small_config(N=100, paths=300)
+    wins = win_counts(cfg)
+    for F in (0.0, f_star(cfg.p), 0.5, 1.0):
+        assert np.array_equal(simulate(replace(cfg, F=F)).wins, wins)
 
 
 # ------------------------------------------------------ exact recursion
@@ -304,7 +351,7 @@ def test_drift_sign_matches_utility_in_each_regime():
         batch = simulate(
             SimConfig(w0=1000.0, p=p, F=F, N=400, paths=20_000, seed=5)
         )
-        chk = log_drift_check(batch)
+        chk = log_drift_check(batch.config, batch.wins)
         assert abs(chk.z_score) <= 3.0
         if sign > 0:
             assert chk.empirical_drift - 3.0 * chk.se > 0.0
@@ -315,7 +362,7 @@ def test_drift_sign_matches_utility_in_each_regime():
 def test_drift_check_needs_surviving_paths():
     batch = simulate(SimConfig(w0=1.0, p=0.52, F=0.04, N=10, paths=50, seed=1))
     with pytest.raises(DomainError):
-        log_drift_check(batch)
+        log_drift_check(batch.config, batch.wins)
 
 
 def test_full_stake_ruin_is_absorbed_at_zero():
@@ -342,9 +389,23 @@ def test_ruin_is_read_from_win_counts():
     assert np.all(batch.checkpoint_wealth[:, -1] == 0.0)
     assert not batch.ruined.any()
     assert np.all(np.isfinite(batch.log_growth_per_trial))
-    chk = log_drift_check(batch)
+    chk = log_drift_check(batch.config, batch.wins)
     assert chk.excluded_ruined == 0
     assert abs(chk.z_score) <= 3.0
+
+
+def test_full_stake_drift_has_no_finite_theory():
+    # U(1, p) = -inf for p < 1, so the survivors' drift has nothing to match;
+    # at p = 1 no path is ruined and U(1, 1) = log 2 is the drift
+    cfg = SimConfig(w0=1.0, p=0.99, F=1.0, N=5, paths=1000, seed=1)
+    chk = log_drift_check(cfg, win_counts(cfg))
+    assert math.isnan(chk.theory) and math.isnan(chk.z_score)
+    assert chk.empirical_drift == math.log(2.0) and chk.se == 0.0
+    assert chk.excluded_ruined > 0
+    sure = SimConfig(w0=1.0, p=1.0, F=1.0, N=5, paths=100, seed=1)
+    chk = log_drift_check(sure, win_counts(sure))
+    assert chk.theory == chk.empirical_drift == math.log(2.0)
+    assert chk.z_score == 0.0 and chk.excluded_ruined == 0
 
 
 def test_ruin_probability_closed_form():
