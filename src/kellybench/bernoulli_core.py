@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import logsumexp
-from scipy.stats import binom as _binom
 
 from .errors import DomainError, ResourceGuardError
 
@@ -86,7 +84,9 @@ def log_pmf_array(spec: BinomialSpec) -> np.ndarray:
         out = np.full(N + 1, -np.inf)
         out[N if p == 1.0 else 0] = 0.0
         return out
-    return _binom.logpmf(np.arange(N + 1), N, p)
+    from scipy.stats import binom  # local: scipy (~0.8 s) loads only for the oracles
+
+    return binom.logpmf(np.arange(N + 1), N, p)
 
 
 def pmf_array(spec: BinomialSpec) -> np.ndarray:
@@ -96,7 +96,9 @@ def pmf_array(spec: BinomialSpec) -> np.ndarray:
         out = np.zeros(N + 1)
         out[N if p == 1.0 else 0] = 1.0
         return out
-    return _binom.pmf(np.arange(N + 1), N, p)
+    from scipy.stats import binom  # local: scipy (~0.8 s) loads only for the oracles
+
+    return binom.pmf(np.arange(N + 1), N, p)
 
 
 def moments(spec: BinomialSpec) -> Moments:
@@ -171,6 +173,8 @@ def mgf_bruteforce(spec: BinomialSpec, xi: float) -> float:
         raise DomainError(f"mgf argument {xi!r} must be finite")
     if spec.N + 1 > ENUMERATION_GUARD:
         raise ResourceGuardError(f"direct sum over {spec.N + 1} terms exceeds guard")
+    from scipy.special import logsumexp  # local: scipy (~0.8 s) loads only for the oracles
+
     alpha = np.arange(spec.N + 1)
     log_terms = xi * alpha + log_pmf_array(spec)
     total = float(logsumexp(log_terms))

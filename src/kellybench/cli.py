@@ -66,15 +66,24 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("KELLYBENCH_OUT") or "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or a path under a file
+        raise KellyBenchError(f"output directory {out!r}: {exc.strerror}") from None
     return path
 
 
 def _load_config_file(path: str) -> dict[str, str]:
     """Flat `key = value` lines; '#' starts a comment; unknown keys rejected
     later, at argument application time."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise KellyBenchError(f"config file {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise KellyBenchError(f"config file {path!r} is not UTF-8 text") from None
     values = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -298,14 +307,14 @@ def main(argv: list[str] | None = None) -> int:
             args.sub_parser.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
         code, tables = args.fn(args, parser)
+        # created only once the command returned: a failed command leaves no partial set
+        out = _out_dir(args)
     except NoEdgeError as exc:
         print(f"no-edge: {exc}", file=sys.stderr)
         return 2
     except KellyBenchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    # written only once the command returned: a failed command leaves no partial set
-    out = _out_dir(args)
     for name, header, rows in tables:
         _write_csv(out / name, header, rows)
     return code

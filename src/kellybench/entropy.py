@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError, ResourceGuardError
 from .bernoulli_core import ENUMERATION_GUARD, BinomialSpec, log_pmf_array, pmf_array
@@ -50,6 +49,8 @@ def binomial_entropy_forms(spec: BinomialSpec) -> tuple[float, float]:
         raise ResourceGuardError(
             f"entropy enumeration over {spec.N + 1} terms exceeds guard"
         )
+    from scipy.special import gammaln  # local: scipy (~0.8 s) loads only for the oracles
+
     N, s = spec.N, spec.p
     logp = log_pmf_array(spec)
     probs = pmf_array(spec)

@@ -12,11 +12,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ApproximationDomainError, DomainError, ResourceGuardError
 from .bernoulli_core import BinomialSpec, TrialCounts, log_pmf_array
-from .martingale_lab import _LOG_FLOAT_MAX, _check_game, expected_wealth_linear
+from .martingale_lab import (
+    _LOG_FLOAT_MAX,
+    _LOG_FLOAT_TINY,
+    _check_game,
+    expected_wealth_linear,
+)
 from .utility_kelly import kelly_fraction, utility
 
 # enumeration oracle cap for the variance report
@@ -82,36 +86,45 @@ def wealth_approx(w0: float, F: float, counts: TrialCounts, order: int = 2) -> f
 
 def _log_wealth_moments(w0: float, N: int, p: float, F: float) -> tuple[float, float]:
     """(log E[W], log E[W^2]) under Binomial(N, p), in log-space."""
+    from scipy.special import logsumexp  # local: scipy (~0.8 s) loads only for the oracles
+
     spec = BinomialSpec(N=N, p=p)
     logp = log_pmf_array(spec)
     alpha = np.arange(N + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_w = (
-            math.log(w0)
-            + alpha * (math.log1p(F) if F < 1.0 else math.log(2.0))
-            + (N - alpha) * (math.log1p(-F) if F > 0.0 else 0.0)
-        )
     if F == 1.0:
         # all-loss factor is 0: only the all-win term survives in W > 0
         log_w = np.where(alpha == N, math.log(w0) + N * math.log(2.0), -np.inf)
+    else:
+        log_w = math.log(w0) + alpha * math.log1p(F) + (N - alpha) * math.log1p(-F)
     m1 = float(logsumexp(logp + log_w))
     m2 = float(logsumexp(logp + 2.0 * log_w))
     return m1, m2
 
 
-def _check_variance_fits(w0: float, p: float, F: float, N: int) -> None:
-    """Raise ResourceGuardError where Var[W(N)] exceeds float64.
+def log_variance(w0: float, p: float, F: float, N: int) -> float:
+    """log Var[W(N)] = log(w0^2 (m^N - g^(2N))) in closed form; -inf where
+    Var[W(N)] = 0, i.e. F = 0 or p is 0 or 1.
 
-    Var[W(N)] = w0^2 (m^N - g^(2N)) with m = E[(1 + F Z)^2] =
-    p(1+F)^2 + q(1-F)^2 and g = E[1 + F Z] = 1 + F(2p-1), taken in log space;
-    it is 0 when F = 0 or p is 0 or 1.
+    m = E[(1 + F Z)^2] = p(1+F)^2 + q(1-F)^2 and g = E[1 + F Z] = 1 + F(2p-1).
+    Since m - g^2 = 4pqF^2 exactly, m^N - g^(2N) = m^N (1 - (1 - r)^N) with
+    r = 4pqF^2 / m, and 1 - (1 - r)^N is taken by expm1/log1p, so no two
+    nearly equal numbers are subtracted.
     """
+    _check_game(w0, p, F, N)
     if F == 0.0 or p in (0.0, 1.0):
-        return
+        return -math.inf
     log_m = math.log(p * (1.0 + F) ** 2 + (1.0 - p) * (1.0 - F) ** 2)
-    # m^N - g^(2N) = m^N (1 - (g^2/m)^N), and m > g^2 in exact arithmetic
-    gap = -math.expm1(N * (2.0 * math.log1p(F * (2.0 * p - 1.0)) - log_m))
-    if gap > 0.0 and 2.0 * math.log(w0) + N * log_m + math.log(gap) > _LOG_FLOAT_MAX:
+    log_r = math.log(4.0 * p * (1.0 - p)) + 2.0 * math.log(F) - log_m
+    if log_r < _LOG_FLOAT_TINY:  # r is subnormal: 1 - (1 - r)^N = N r to within N r
+        log_gap = math.log(N) + log_r
+    else:
+        log_gap = math.log(-math.expm1(N * math.log1p(-math.exp(log_r))))
+    return 2.0 * math.log(w0) + N * log_m + log_gap
+
+
+def _check_variance_fits(w0: float, p: float, F: float, N: int) -> None:
+    """Raise ResourceGuardError where Var[W(N)] exceeds float64."""
+    if log_variance(w0, p, F, N) > _LOG_FLOAT_MAX:
         raise ResourceGuardError(f"variance of wealth overflows float64 at N={N}, F={F!r}")
 
 

@@ -2,9 +2,14 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kellybench
 from kellybench import utility
 from kellybench.cli import main
 
@@ -250,6 +255,32 @@ def test_config_file_rejects_unreadable_values(tmp_path, capsys, argv, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_config_file_that_cannot_be_read(tmp_path, capsys, kind):
+    cfg = tmp_path / "bench.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    elif kind == "not-utf8":
+        cfg.write_bytes(b"grid = 11  # \xff\n")
+    out = tmp_path / "out"
+    assert main(["analyze", "--p", "0.52", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+def test_out_that_cannot_be_a_directory(tmp_path, capsys, under):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "sub" if under else taken
+    assert main(["analyze", "--p", "0.52", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory") and err.count("\n") == 1
+    assert taken.read_text() == "not a directory\n"
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 # -------------------------------------------------------------- tradeoff
 
 
@@ -325,6 +356,32 @@ def test_explicit_quick_beats_full_in_config(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0
         assert f"({scale} scale)" in capsys.readouterr().out
     assert scales == ["full", "quick"]
+
+
+# -------------------------------------------------------------- start-up
+
+_NO_SCIPY_CHILD = """
+import sys
+from kellybench.cli import main
+out = sys.argv[1]
+assert main(["analyze", "--p", "0.52", "--out", out + "/analyze"]) == 0
+assert main(["tradeoff", "--p", "0.52", "--out", out + "/tradeoff"]) == 0
+assert main(["simulate", "--p", "0.52", "--kelly", "--n", "20", "--paths", "200",
+             "--out", out + "/simulate"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_closed_form_and_simulate_commands_load_no_scipy(tmp_path):
+    # scipy takes most of a cold start; only verify's enumeration oracles need it
+    src = str(Path(kellybench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert len(list(tmp_path.rglob("*.csv"))) == 7
 
 
 # SHA-256 of every CSV each command writes; a refactor must keep these bytes

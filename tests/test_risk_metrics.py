@@ -9,6 +9,7 @@ import pytest
 from kellybench import (
     ApproximationDomainError,
     DomainError,
+    ResourceGuardError,
     SimConfig,
     TrialCounts,
     expected_wealth_linear,
@@ -20,6 +21,7 @@ from kellybench import (
     variance_report,
     wealth_approx,
 )
+from kellybench.risk_metrics import _check_variance_fits, log_variance
 
 
 def exact_product(w0: float, F: float, counts: TrialCounts) -> float:
@@ -97,7 +99,7 @@ def test_variance_report_fields():
     assert rep.ratio == pytest.approx(rep.oracle_exact / rep.paper_estimate, rel=1e-12)
 
 
-@pytest.mark.parametrize("p, F", [(0.3, 0.2), (0.52, 0.04), (0.6, 0.5), (0.9, 0.02)])
+@pytest.mark.parametrize("p, F", [(0.3, 0.2), (0.52, 0.04), (0.6, 0.5), (0.9, 0.02), (0.52, 1.0)])
 @pytest.mark.parametrize("N", [1, 5, 12])
 def test_wealth_moments_match_exact_rational_enumeration(p, F, N):
     # E[W(N)] and Var[W(N)] summed exactly over the win count, in rationals
@@ -113,6 +115,34 @@ def test_wealth_moments_match_exact_rational_enumeration(p, F, N):
     # the oracle takes expm1 of a difference of log-moments: ~1e-11 relative at worst
     rep = variance_report(1000.0, N, p, F)
     assert rep.oracle_exact == pytest.approx(float(var), rel=1e-10)
+    assert log_variance(1000.0, p, F, N) == pytest.approx(math.log(var), rel=1e-13)
+
+
+def test_log_variance_edges():
+    assert log_variance(1000.0, 0.52, 0.0, 50) == -math.inf
+    assert log_variance(1000.0, 1.0, 0.3, 50) == -math.inf
+    assert log_variance(1000.0, 0.0, 0.3, 50) == -math.inf
+    # a small stake keeps full precision: Var[W(1)] = w0^2 4pqF^2 exactly, and
+    # m^N - g^(2N) is never formed as a difference
+    assert log_variance(1.0, 0.52, 1e-4, 1) == pytest.approx(
+        math.log(4.0 * 0.52 * 0.48 * 1e-4 * 1e-4), rel=1e-14)
+    # for a stake whose 4pqF^2 is below float range, Var[W(N)] ~ w0^2 N 4pqF^2
+    w0, p, F, N = 1e300, 0.52, 1e-160, 1000
+    approx = 2.0 * math.log(w0) + math.log(N * 4.0 * p * (1.0 - p)) + 2.0 * math.log(F)
+    assert log_variance(w0, p, F, N) == pytest.approx(approx, rel=1e-12)
+    with pytest.raises(DomainError):
+        log_variance(0.0, 0.52, 0.04, 10)
+
+
+def test_variance_guard_at_the_float_limit():
+    # log Var[W(N)] at p = 0.9, F = 0.8 is 699.6 at N = 640 and 721.1 at N = 660
+    _check_variance_fits(1000.0, 0.9, 0.8, 640)
+    with pytest.raises(ResourceGuardError):
+        _check_variance_fits(1000.0, 0.9, 0.8, 660)
+    # a stake too small for 4pqF^2 to be a normal float: 651.6 fits, 734.5 does not
+    _check_variance_fits(1e300, 0.52, 1e-160, 1000)
+    with pytest.raises(ResourceGuardError):
+        _check_variance_fits(1e308, 0.52, 1e-150, 1000)
 
 
 def test_variance_vanishes_without_randomness_or_stake():
