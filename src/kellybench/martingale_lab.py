@@ -7,12 +7,17 @@ cancellation. Path k's uniforms are exactly
 reproducible regardless of chunking. Building one `default_rng` per path
 spends most of its time in NumPy's SeedSequence hash, so `_pcg64_states`
 computes the PCG64 starting states of a whole chunk of paths at once, in
-uint64 arrays, and the chunk then draws from one native generator whose
-state it sets per path; the tests check those states against NumPy's own.
+uint64 arrays, and the chunk then draws from one native generator, moved to
+each path's substream by writing the four uint64 words of its (state, inc)
+straight into the generator's memory. Where those words sit is NumPy's
+private layout, so a probe writes a known (state, inc) and reads it back
+through the generator's `state` property before any path is drawn; a layout
+it does not know raises KellyBenchError, and nothing is drawn. The tests
+check the states, and the words as `state` reads them, against NumPy's own.
 Full paths are never kept: a check needs only the win counts and, at each
 checkpoint I, W(I) and max W(0..I); the last checkpoint is always N.
 
-There is one sampler and two readers. `_draw` seeds, sets and draws a
+There is one sampler and two readers. `_draw` seeds, writes and draws a
 chunk's paths, tile by tile, and counts their wins. `simulate` writes each
 tile's wealth over its draws; `win_counts` keeps the counts only, which is
 all that the log drift and the full-stake ruin law depend on, so the
@@ -35,6 +40,7 @@ for any F > 0 when p > 1/2, and is exposed here as errata evidence.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from collections import deque
 from collections.abc import Iterator
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ApproximationDomainError, DomainError, ResourceGuardError
+from .errors import ApproximationDomainError, DomainError, KellyBenchError, ResourceGuardError
 from .utility_kelly import _check_fp, utility
 
 # hard ceiling on paths * N
@@ -65,9 +71,17 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 
-# PCG64's 128-bit LCG (O'Neill 2014)
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+# PCG64's 128-bit LCG multiplier (O'Neill 2014), as uint64 limbs, and the
+# low limb's uint32 halves
+_PCG64_MULT_HI, _PCG64_MULT_LO = 2549297995355413924, 4865540595714422341
+_MULT_LO1, _MULT_LO0 = _PCG64_MULT_LO >> 32, _PCG64_MULT_LO & _MASK32
+
+# where NumPy's pcg64_random_t keeps the words (state_lo, state_hi, inc_lo,
+# inc_hi): memory word j is word layout[j]. A __uint128_t, little-endian as
+# GCC and Clang build it, or a {high, low} struct where there is none
+_PCG64_LAYOUTS = {"uint128": (0, 1, 2, 3), "high-low": (1, 0, 3, 2)}
+# four distinct words, so that one layout at most reads them back
+_PROBE_WORDS = (1, 2, 3, 4)
 
 
 def _check_seed(seed) -> None:
@@ -168,15 +182,17 @@ class DoobDecomposition:
     growth_factor: float
 
 
-def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """The (state, inc) that `np.random.default_rng((seed, k)).bit_generator`
-    starts from, for every k in [start, stop).
+def _pcg64_states(seed: int, start: int, stop: int) -> np.ndarray:
+    """The words (state_lo, state_hi, inc_lo, inc_hi) of the (state, inc)
+    that `np.random.default_rng((seed, k)).bit_generator` starts from, one
+    row for every k in [start, stop).
 
     SeedSequence hashes the entropy words (the seed's little-endian uint32
     words, then k) into a 4-word pool and reads 8 words out of it; the hash
     constants do not depend on the data, so each step runs once over all k.
     Every value is a uint32 held in a uint64 array, masked after each
-    product, so nothing overflows on a numpy scalar.
+    product, so nothing overflows on a numpy scalar. PCG64's seeding then
+    runs on (hi, lo) uint64 limbs, whose array arithmetic wraps mod 2^64.
     """
     assert 0 <= start <= stop <= 2**32  # k is one entropy word
     n = stop - start
@@ -220,17 +236,51 @@ def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
         value = (value * hash_const) & _MASK32
         state.append(value ^ (value >> _XSHIFT))
     # uint32 pairs read little-endian as the uint64 words s_hi, s_lo, i_hi, i_lo
-    s_hi, s_lo, i_hi, i_lo = (
-        (state[2 * j] | (state[2 * j + 1] << 32)).tolist() for j in range(4)
-    )
+    s_hi, s_lo, i_hi, i_lo = (state[2 * j] | (state[2 * j + 1] << 32) for j in range(4))
+    del pool, state  # freed before the limb arithmetic, which needs as many arrays
 
-    # PCG64 srandom: inc = (initseq << 1) | 1, step, add initstate, step
-    out = []
-    for a, b, c, d in zip(s_hi, s_lo, i_hi, i_lo):
-        inc = (((c << 64) | d) << 1 | 1) & _MASK128
-        st = (inc + ((a << 64) | b)) & _MASK128
-        out.append(((st * _PCG64_MULT + inc) & _MASK128, inc))
-    return out
+    # PCG64 srandom: inc = (initseq << 1) | 1, step from 0 (to inc), add
+    # initstate, step; a comparison after a wrapping add is its carry
+    inc_hi = (i_hi << 1) | (i_lo >> 63)
+    inc_lo = (i_lo << 1) | 1
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < inc_lo)
+    # state * MULT mod 2^128: the high limb of lo * MULT_LO from 32-bit
+    # partial products, then the cross terms, whose high halves fall away
+    a1, a0 = lo >> 32, lo & _MASK32
+    p00, p01, p10 = a0 * _MULT_LO0, a0 * _MULT_LO1, a1 * _MULT_LO0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    hi = (a1 * _MULT_LO1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+          + hi * _PCG64_MULT_LO + lo * _PCG64_MULT_HI)
+    lo = lo * _PCG64_MULT_LO + inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
+
+
+def _pcg64_words(bit_gen: np.random.PCG64) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A writable view of the four uint64 words of `bit_gen`'s (state,
+    inc), and their layout: memory word j holds word layout[j] of
+    (state_lo, state_hi, inc_lo, inc_hi).
+
+    The view is the generator's own memory, so it must not outlive
+    `bit_gen`. NumPy's `state` property is the authority on the layout: a
+    known (state, inc) is written and read back through it, and a build
+    whose layout is none of `_PCG64_LAYOUTS` raises KellyBenchError rather
+    than drawing other streams.
+    """
+    # state_address points to NumPy's pcg64_state, whose first field
+    # points to the pcg64_random_t that holds (state, inc)
+    address = ctypes.c_void_p.from_address(bit_gen.ctypes.state_address).value
+    words = np.frombuffer((ctypes.c_uint64 * 4).from_address(address), dtype=np.uint64)
+    words[:] = _PROBE_WORDS
+    read = bit_gen.state["state"]
+    for layout in _PCG64_LAYOUTS.values():
+        lo_hi = [_PROBE_WORDS[layout.index(j)] for j in range(4)]
+        if (read["state"], read["inc"]) == (lo_hi[0] | lo_hi[1] << 64, lo_hi[2] | lo_hi[3] << 64):
+            return words, layout
+    raise KellyBenchError(
+        f"PCG64's state words are in none of the known layouts {sorted(_PCG64_LAYOUTS)}"
+    )
 
 
 def _chunks(config: SimConfig) -> Iterator[tuple[int, int, int]]:
@@ -244,7 +294,9 @@ def _chunks(config: SimConfig) -> Iterator[tuple[int, int, int]]:
         )
     # the horizon is one tile unless one path's draws exceed the budget
     tile = min(config.N, _CHUNK_BYTES // 8)
-    # a path's draws and outcomes, plus under 0.5 kB while its seed state is built
+    # a path's draws and outcomes, plus under 0.5 kB for its seed state: the
+    # build peaks at 176 B (8 B more per seed word past the first), and the
+    # draw holds 32 B
     chunk = max(1, _CHUNK_BYTES // (9 * tile + 512))
     return ((start, min(start + chunk, config.paths), tile)
             for start in range(0, config.paths, chunk))
@@ -260,21 +312,22 @@ def _draw(config: SimConfig, start: int, stop: int, tile: int,
     t0+1 .. t0+width and their outcomes u < p, in buffers that the next
     tile reuses, so the caller may overwrite u. The draw never reads F.
     """
-    states = _pcg64_states(config.seed, start, stop)
+    # one native generator, moved to each path's substream by writing its
+    # state words, through a view that lives no longer than the generator
+    bit_gen = np.random.PCG64()
+    gen = np.random.Generator(bit_gen)
+    words, layout = _pcg64_words(bit_gen)
+    states = _pcg64_states(config.seed, start, stop)[:, layout]
     # the working set; a shorter last tile uses the front of each buffer
     u = np.empty((stop - start, tile))
     win = np.empty(u.shape, dtype=bool)
-    # one native generator, moved to each path's substream before its draws
-    bit_gen = np.random.PCG64()
-    gen = np.random.Generator(bit_gen)
     for t0 in range(0, config.N, tile):
         width = min(tile, config.N - t0)
         x, won = u[:, :width], win[:, :width]
         if t0 == 0:
-            for i, (state, inc) in enumerate(states):
-                bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                                 "has_uint32": 0, "uinteger": 0}
-                gen.random(out=x[i])
+            for row, path in zip(states, x):
+                words[...] = row
+                gen.random(out=path)
         else:  # the one path's stream goes on where the last tile stopped
             gen.random(out=x[0])
         np.less(x, config.p, out=won)

@@ -12,6 +12,7 @@ import pytest
 from kellybench import (
     ApproximationDomainError,
     DomainError,
+    KellyBenchError,
     ResourceGuardError,
     SimConfig,
     conditional_growth_factor,
@@ -30,6 +31,7 @@ from kellybench import (
     win_counts,
 )
 from kellybench import martingale_lab
+from kellybench.cli import main
 from kellybench.martingale_lab import _pcg64_states
 
 
@@ -146,14 +148,51 @@ ORACLE_SEEDS = {"0": 0, "1": 1, "2^32-1": 2**32 - 1, "2^32": 2**32, "2^64+5": 2*
                 "2^127+3": 2**127 + 3, "2^224+12345": 2**224 + 12345}
 
 
+ORACLE_KS = (0, 1, 4095, 4096, 2**31, 2**32 - 1)
+
+
+def state_inc(words: np.ndarray) -> list[tuple[int, int]]:
+    """(state, inc) from rows of the words (state_lo, state_hi, inc_lo, inc_hi)."""
+    return [(int(s_lo) | int(s_hi) << 64, int(i_lo) | int(i_hi) << 64)
+            for s_lo, s_hi, i_lo, i_hi in words]
+
+
 @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
 def test_pcg64_states_match_numpy(seed):
-    for k in (0, 1, 4095, 4096, 2**31, 2**32 - 1):
+    for k in ORACLE_KS:
         ref = np.random.default_rng((seed, k)).bit_generator.state["state"]
-        assert _pcg64_states(seed, k, k + 1) == [(ref["state"], ref["inc"])]
+        assert state_inc(_pcg64_states(seed, k, k + 1)) == [(ref["state"], ref["inc"])]
     refs = [np.random.default_rng((seed, k)).bit_generator.state["state"]
             for k in range(4090, 4100)]
-    assert _pcg64_states(seed, 4090, 4100) == [(r["state"], r["inc"]) for r in refs]
+    assert state_inc(_pcg64_states(seed, 4090, 4100)) == [(r["state"], r["inc"]) for r in refs]
+
+
+@pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
+def test_written_words_are_numpys_state(seed):
+    # the words that _draw writes read back, through NumPy's own state
+    # property, as the state of path k's default_rng
+    bit_gen = np.random.PCG64()
+    words, layout = martingale_lab._pcg64_words(bit_gen)
+    for k in ORACLE_KS:
+        words[:] = _pcg64_states(seed, k, k + 1)[0, layout]
+        assert bit_gen.state == np.random.default_rng((seed, k)).bit_generator.state
+
+
+def test_unknown_state_layout_raises(monkeypatch, tmp_path, capsys):
+    # with the real layout taken out, the probe finds none and nothing draws
+    real = martingale_lab._pcg64_words(np.random.PCG64())[1]
+    others = {name: layout for name, layout in martingale_lab._PCG64_LAYOUTS.items()
+              if layout != real}
+    assert len(others) == len(martingale_lab._PCG64_LAYOUTS) - 1
+    monkeypatch.setattr(martingale_lab, "_PCG64_LAYOUTS", others)
+    for run in (simulate, win_counts):
+        with pytest.raises(KellyBenchError, match="none of the known layouts"):
+            run(small_config())
+    # the CLI exits 2 with one error line and writes no CSV
+    assert main(["simulate", "--p", "0.52", "--kelly", "--n", "10", "--paths", "200",
+                 "--out", str(tmp_path)]) == 2
+    assert "none of the known layouts" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("threads", [1, 2])
