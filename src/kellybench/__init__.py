@@ -2,7 +2,7 @@
 
 Library layout:
 
-- bernoulli_core: binomial PMF, moments, MGFs, covariance models
+- bernoulli_core: binomial PMF, moments, MGFs, exact count covariance
 - entropy: Shannon entropy and the growth/entropy identity
 - utility_kelly: log-growth utility, Kelly point, break-even root, regime partition
 - martingale_lab: seeded Monte Carlo wealth paths, drift and Doob checks
@@ -12,7 +12,6 @@ Library layout:
 
 from .bernoulli_core import (
     BinomialSpec,
-    CovarianceModel,
     TrialCounts,
     covariance_uv,
     log_mgf,
@@ -50,9 +49,7 @@ from .martingale_lab import (
     win_counts,
 )
 from .risk_metrics import (
-    FractionalKellyPlan,
     VarianceReport,
-    fractional_plan,
     tradeoff_table,
     variance_report,
     wealth_approx,

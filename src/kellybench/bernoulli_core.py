@@ -1,21 +1,20 @@
 """Binomial game primitives.
 
-The binomial PMF of the win count and its moments, covariance models for
-the win/loss counts, and moment-generating functions with brute-force
+The binomial PMF of the win count and its moments, the exact covariance of
+the win and loss counts, and moment-generating functions with brute-force
 oracles.
 
-Two covariance models coexist on purpose. The independent model treats the
-win and loss counts as uncorrelated (COV = 0, net-win variance 2Np(1-p));
-the complementary model enforces losses = N - wins and computes the exact
-covariance by enumeration. Both are exposed so the discrepancy can be
-measured instead of silently resolved.
+The losses are complementary, V = N - U, so COV(U, V) = -Np(1-p) and the
+net win count U - V = 2U - N has variance 4Np(1-p). The published
+zero-covariance values (COV = 0, net-win variance 2Np(1-p)) are constants
+that the claim registry writes next to these exact values, so the
+discrepancy is measured instead of silently resolved.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -24,8 +23,10 @@ from .errors import DomainError, ResourceGuardError
 # Max number of terms any direct-summation oracle is allowed to touch.
 ENUMERATION_GUARD = 10**6
 
-# exp argument beyond which a float64 overflows
-_EXP_OVERFLOW = 709.0
+# log of the largest and of the smallest normal float64; exp overflows
+# past the first and is subnormal below the second
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
+_LOG_FLOAT_TINY = math.log(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -57,18 +58,10 @@ class TrialCounts:
             raise DomainError(f"counts U={self.U}, V={self.V} do not sum to N={self.N}")
 
 
-class CovarianceModel(Enum):
-    """How the win and loss counts are assumed to relate."""
-
-    PAPER_INDEPENDENT = "paper_independent"
-    COMPLEMENTARY = "complementary"
-
-
 @dataclass(frozen=True)
 class Moments:
     mean: float
     variance: float
-    volatility: float
 
 
 def log_pmf_array(spec: BinomialSpec) -> np.ndarray:
@@ -102,10 +95,8 @@ def pmf_array(spec: BinomialSpec) -> np.ndarray:
 
 
 def moments(spec: BinomialSpec) -> Moments:
-    """Mean Np, variance Np(1-p) and volatility of the win count."""
-    mean = spec.N * spec.p
-    variance = spec.N * spec.p * (1.0 - spec.p)
-    return Moments(mean=mean, variance=variance, volatility=math.sqrt(variance))
+    """Mean Np and variance Np(1-p) of the win count."""
+    return Moments(mean=spec.N * spec.p, variance=spec.N * spec.p * (1.0 - spec.p))
 
 
 def _enumerated_count_moments(N: int, p: float) -> tuple[float, float, float]:
@@ -120,25 +111,17 @@ def _enumerated_count_moments(N: int, p: float) -> tuple[float, float, float]:
     return eu, eu2, euv
 
 
-def covariance_uv(N: int, p: float, model: CovarianceModel) -> float:
-    """Covariance of the win and loss counts under the chosen model.
-
-    The independent model returns 0; the complementary model enumerates
-    COV(U, N-U) exactly.
-    """
+def covariance_uv(N: int, p: float) -> float:
+    """COV(U, N-U) of the win and loss counts, by exact enumeration."""
     BinomialSpec(N=N, p=p)  # validate
-    if model is CovarianceModel.PAPER_INDEPENDENT:
-        return 0.0
     eu, _, euv = _enumerated_count_moments(N, p)
     ev = N - eu
     return euv - eu * ev
 
 
-def net_wins_variance(N: int, p: float, model: CovarianceModel) -> float:
-    """Variance of the net win count U - V under the chosen model."""
+def net_wins_variance(N: int, p: float) -> float:
+    """Variance of the net win count U - V, by exact enumeration."""
     BinomialSpec(N=N, p=p)  # validate
-    if model is CovarianceModel.PAPER_INDEPENDENT:
-        return 2.0 * N * p * (1.0 - p)
     eu, eu2, _ = _enumerated_count_moments(N, p)
     # U - V = 2U - N, so VAR = 4 VAR(U); kept in enumerated form on purpose
     var_u = eu2 - eu * eu
@@ -160,7 +143,7 @@ def log_mgf(spec: BinomialSpec, xi: float) -> float:
 def mgf(spec: BinomialSpec, xi: float) -> float:
     """E[exp(xi U)] in closed form (1 - p + p exp(xi))^N."""
     lm = log_mgf(spec, xi)
-    if lm > _EXP_OVERFLOW:
+    if lm > _LOG_FLOAT_MAX:
         raise ResourceGuardError(
             f"mgf overflows float64 at N={spec.N}, xi={xi}; use log_mgf"
         )
@@ -178,6 +161,6 @@ def mgf_bruteforce(spec: BinomialSpec, xi: float) -> float:
     alpha = np.arange(spec.N + 1)
     log_terms = xi * alpha + log_pmf_array(spec)
     total = float(logsumexp(log_terms))
-    if total > _EXP_OVERFLOW:
+    if total > _LOG_FLOAT_MAX:
         raise ResourceGuardError("brute-force mgf overflows float64; use log_mgf")
     return math.exp(total)

@@ -206,6 +206,9 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
     if math.isnan(chk.theory):
         print(f"drift: U(1, {config.p!r}) is -inf at full stake; theory and z_score "
               "written as nan", file=sys.stderr)
+    elif math.isnan(chk.z_score):
+        print("drift: every surviving path has the same win count; se is 0 and z_score "
+              "written as nan", file=sys.stderr)
     return 0, [
         ("trajectories_summary.csv",
          ["I", "mean_W", "var_W", "mean_M", "empirical_sup_prob", "doob_bound"], rows),

@@ -19,11 +19,10 @@ from .bernoulli_core import ENUMERATION_GUARD, BinomialSpec, log_pmf_array, pmf_
 
 @dataclass(frozen=True)
 class IdentityCheck:
-    """Both sides of the growth/entropy identity plus their absolute gap."""
+    """Both sides of the growth/entropy identity."""
 
     lhs: float
     rhs: float
-    gap: float
 
 
 def _xlogx(x: float) -> float:
@@ -69,11 +68,11 @@ def binomial_entropy_forms(spec: BinomialSpec) -> tuple[float, float]:
 
 
 def utility_entropy_identity(p: float) -> IdentityCheck:
-    """Growth at the Kelly stake versus log(2) - H(p); gap reported, not hidden."""
+    """Growth at the Kelly stake versus log(2) - H(p); both sides reported."""
     if not (0.5 <= p <= 1.0):
         raise DomainError(f"identity requires p in [1/2, 1], got {p!r}")
     from .utility_kelly import kelly_fraction, utility
 
     lhs = utility(kelly_fraction(p), p)
     rhs = math.log(2.0) - shannon(p)
-    return IdentityCheck(lhs=lhs, rhs=rhs, gap=abs(lhs - rhs))
+    return IdentityCheck(lhs=lhs, rhs=rhs)

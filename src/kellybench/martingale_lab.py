@@ -48,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bernoulli_core import _LOG_FLOAT_MAX, _LOG_FLOAT_TINY
 from .errors import ApproximationDomainError, DomainError, KellyBenchError, ResourceGuardError
 from .utility_kelly import _check_fp, utility
 
@@ -59,9 +60,6 @@ _CHUNK_BYTES = 4 << 20
 
 # fewest paths whose log drift has a meaningful standard error
 _MIN_DRIFT_PATHS = 100
-
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-_LOG_FLOAT_TINY = math.log(np.finfo(float).tiny)
 
 # NumPy's SeedSequence hash (numpy/random/bit_generator.pyx) on uint32 words
 _MASK32 = 0xFFFFFFFF
@@ -137,16 +135,6 @@ class TrajectoryBatch:
     checkpoint_wealth: np.ndarray  # (paths, len(config.checkpoints)), W(I)
     checkpoint_running_max: np.ndarray  # (paths, len(config.checkpoints)), max W(0..I)
 
-    @property
-    def ruined(self) -> np.ndarray:
-        """Per-path flag: a loss at full stake, which absorbs wealth at 0."""
-        return _ruined(self.config, self.wins)
-
-    @property
-    def log_growth_per_trial(self) -> np.ndarray:
-        """Per-path mean log increment; -inf on ruined paths."""
-        return _log_growth_per_trial(self.config, self.wins)
-
 
 def _ruined(config: SimConfig, wins: np.ndarray) -> np.ndarray:
     """Per-path flag of a loss at full stake, read from the win counts: a
@@ -179,7 +167,6 @@ class DoobDecomposition:
     checkpoints: tuple[int, ...]
     martingale_part: np.ndarray  # (paths, len(checkpoints))
     drift: np.ndarray  # (len(checkpoints),)
-    growth_factor: float
 
 
 def _pcg64_states(seed: int, start: int, stop: int) -> np.ndarray:
@@ -191,7 +178,9 @@ def _pcg64_states(seed: int, start: int, stop: int) -> np.ndarray:
     words, then k) into a 4-word pool and reads 8 words out of it; the hash
     constants do not depend on the data, so each step runs once over all k.
     Every value is a uint32 held in a uint64 array, masked after each
-    product, so nothing overflows on a numpy scalar. PCG64's seeding then
+    product, so nothing overflows on a numpy scalar. The seed's words are
+    the same for every k, so each is one element that broadcasts, and the
+    pool grows to one word a path only where k mixes in. PCG64's seeding then
     runs on (hi, lo) uint64 limbs, whose array arithmetic wraps mod 2^64.
     """
     assert 0 <= start <= stop <= 2**32  # k is one entropy word
@@ -199,7 +188,7 @@ def _pcg64_states(seed: int, start: int, stop: int) -> np.ndarray:
     words = []
     seed = int(seed)
     while True:
-        words.append(np.full(n, seed & _MASK32, dtype=np.uint64))
+        words.append(np.array([seed & _MASK32], dtype=np.uint64))
         seed >>= 32
         if not seed:
             break
@@ -218,7 +207,7 @@ def _pcg64_states(seed: int, start: int, stop: int) -> np.ndarray:
         result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
         return result ^ (result >> _XSHIFT)
 
-    zero = np.zeros(n, dtype=np.uint64)
+    zero = np.zeros(1, dtype=np.uint64)
     pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
     for i_src in range(_POOL_SIZE):
         for i_dst in range(_POOL_SIZE):
@@ -295,8 +284,8 @@ def _chunks(config: SimConfig) -> Iterator[tuple[int, int, int]]:
     # the horizon is one tile unless one path's draws exceed the budget
     tile = min(config.N, _CHUNK_BYTES // 8)
     # a path's draws and outcomes, plus under 0.5 kB for its seed state: the
-    # build peaks at 176 B (8 B more per seed word past the first), and the
-    # draw holds 32 B
+    # build peaks at about 160 B whatever the seed's size, and the draw
+    # holds 32 B
     chunk = max(1, _CHUNK_BYTES // (9 * tile + 512))
     return ((start, min(start + chunk, config.paths), tile)
             for start in range(0, config.paths, chunk))
@@ -465,9 +454,11 @@ def log_drift_check(config: SimConfig, wins: np.ndarray) -> DriftCheck:
     closed-form U(F, p).
 
     Ruined full-stake paths have no finite log and are excluded with a
-    count; requires at least 100 surviving paths for a meaningful SE. At
-    full stake with p < 1, U(1, p) is -inf and states nothing about the
-    survivors, so theory and z_score are nan.
+    count; requires at least 100 surviving paths for a meaningful SE. When
+    every survivor has the same win count (p is 0 or 1, or full stake), the
+    rates are one number: empirical_drift is that rate, se is 0 and z_score
+    is nan. At full stake with p < 1, U(1, p) is -inf and states nothing
+    about the survivors, so theory is nan too.
     """
     ruined = _ruined(config, wins)
     rates = _log_growth_per_trial(config, wins)[~ruined]
@@ -477,14 +468,18 @@ def log_drift_check(config: SimConfig, wins: np.ndarray) -> DriftCheck:
             f"drift check needs >= {_MIN_DRIFT_PATHS} surviving paths, got {rates.size}"
         )
     theory = utility(config.F, config.p)
-    empirical = float(np.mean(rates))
-    se = float(np.std(rates, ddof=1) / math.sqrt(rates.size))
+    if np.ptp(wins[~ruined]) == 0:
+        # one win count: np.mean and np.std of its rate would only add rounding
+        empirical, se, z = float(rates[0]), 0.0, math.nan
+    else:
+        empirical = float(np.mean(rates))
+        se = float(np.std(rates, ddof=1) / math.sqrt(rates.size))
+        if se == 0.0:
+            z = 0.0 if empirical == theory else math.inf
+        else:
+            z = (empirical - theory) / se
     if theory == -math.inf:
         theory = z = math.nan
-    elif se == 0.0:
-        z = 0.0 if empirical == theory else math.inf
-    else:
-        z = (empirical - theory) / se
     return DriftCheck(
         empirical_drift=empirical, se=se, theory=theory, z_score=z, excluded_ruined=excluded
     )
@@ -492,10 +487,7 @@ def log_drift_check(config: SimConfig, wins: np.ndarray) -> DriftCheck:
 
 def ruin_probability_full_stake(p: float, N: int) -> float:
     """Probability 1 - p^N that an all-in strategy hits zero within N bets."""
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"probability {p!r} outside [0, 1]")
-    if N < 1:
-        raise DomainError(f"trial count {N!r} must be at least 1")
+    _check_game(1.0, p, 1.0, N)
     return 1.0 - p**N
 
 
@@ -550,5 +542,4 @@ def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:
         checkpoints=cfg.checkpoints,
         martingale_part=mart,
         drift=drift,
-        growth_factor=g,
     )

@@ -14,13 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApproximationDomainError, DomainError, ResourceGuardError
-from .bernoulli_core import BinomialSpec, TrialCounts, log_pmf_array
-from .martingale_lab import (
-    _LOG_FLOAT_MAX,
-    _LOG_FLOAT_TINY,
-    _check_game,
-    expected_wealth_linear,
-)
+from .bernoulli_core import (_LOG_FLOAT_MAX, _LOG_FLOAT_TINY, BinomialSpec, TrialCounts,
+                             log_pmf_array)
+from .martingale_lab import _check_game, expected_wealth_linear
 from .utility_kelly import kelly_fraction, utility
 
 # enumeration oracle cap for the variance report
@@ -37,19 +33,6 @@ class VarianceReport:
     paper_estimate: float  # 2 w0^2 N p(1-p) F^2
     oracle_exact: float | None  # exact Var[W(N)], None beyond the guard
     ratio: float | None  # oracle / paper_estimate
-
-
-@dataclass(frozen=True)
-class FractionalKellyPlan:
-    """Growth/volatility trade-off of staking a multiplier f of full Kelly."""
-
-    f: float
-    F_K: float
-    F_frac: float
-    growth_full: float
-    growth_frac: float
-    vol_full: float
-    vol_frac: float
 
 
 @dataclass(frozen=True)
@@ -134,12 +117,6 @@ def _paper_variance(w0: float, N: int, p: float, F: float) -> float:
     return 2.0 * N * p * (1.0 - p) * F * F * (w0 * w0)
 
 
-def _paper_volatility(w0: float, N: int, p: float, F: float) -> float:
-    """Square root of the published estimate; needs no enumeration oracle."""
-    _check_game(w0, p, F, N)
-    return math.sqrt(_paper_variance(w0, N, p, F))
-
-
 def variance_report(w0: float, N: int, p: float, F: float) -> VarianceReport:
     """Published variance estimate with the exact enumeration alongside."""
     _check_game(w0, p, F, N)
@@ -154,27 +131,6 @@ def variance_report(w0: float, N: int, p: float, F: float) -> VarianceReport:
         oracle = math.exp(2.0 * m1) * math.expm1(m2 - 2.0 * m1)
     ratio = oracle / paper_estimate if paper_estimate > 0.0 else None
     return VarianceReport(paper_estimate=paper_estimate, oracle_exact=oracle, ratio=ratio)
-
-
-def fractional_plan(
-    p: float, f: float, N: int = 1000, w0: float = 1000.0
-) -> FractionalKellyPlan:
-    """Stake f * F_K for f in [1/2, 1): slower growth, smaller volatility."""
-    if not (0.5 <= f < 1.0):
-        raise DomainError(f"fractional multiplier {f!r} outside [1/2, 1)")
-    if p <= 0.5:
-        raise DomainError(f"fractional staking requires p > 1/2, got {p!r}")
-    fk = kelly_fraction(p)
-    ff = f * fk
-    return FractionalKellyPlan(
-        f=f,
-        F_K=fk,
-        F_frac=ff,
-        growth_full=utility(fk, p),
-        growth_frac=utility(ff, p),
-        vol_full=_paper_volatility(w0, N, p, fk),
-        vol_frac=_paper_volatility(w0, N, p, ff),
-    )
 
 
 def tradeoff_table(
@@ -193,7 +149,8 @@ def tradeoff_table(
             f=f,
             F=F,
             expected_wealth=expected_wealth_linear(w0, p, F, N),
-            volatility=_paper_volatility(w0, N, p, F),
+            # the published estimate's square root, which needs no oracle
+            volatility=math.sqrt(_paper_variance(w0, N, p, F)),
             utility=utility(F, p),
         ))
     return rows

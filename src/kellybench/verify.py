@@ -27,7 +27,6 @@ import numpy as np
 
 from . import (
     BinomialSpec,
-    CovarianceModel,
     SimConfig,
     TrialCounts,
     conditional_growth_factor,
@@ -41,7 +40,6 @@ from . import (
     expected_wealth_product,
     f_star,
     f_star_approx,
-    fractional_plan,
     kelly_fraction,
     log_drift_check,
     mgf,
@@ -51,6 +49,7 @@ from . import (
     ruin_probability_full_stake,
     shannon,
     simulate,
+    tradeoff_table,
     utility,
     utility_derivatives,
     utility_dominance,
@@ -118,13 +117,12 @@ def _claim_count_moments(scale: Scale, seed: int) -> tuple:
 
 
 def _claim_covariance(scale: Scale, seed: int) -> tuple:
-    return _close(0.0, covariance_uv(10, 0.52, CovarianceModel.COMPLEMENTARY), 1e-12)
+    return _close(0.0, covariance_uv(10, 0.52), 1e-12)
 
 
 def _claim_net_wins_variance(scale: Scale, seed: int) -> tuple:
-    paper = net_wins_variance(10, 0.52, CovarianceModel.PAPER_INDEPENDENT)
-    oracle = net_wins_variance(10, 0.52, CovarianceModel.COMPLEMENTARY)
-    return _close(paper, oracle, 1e-12)
+    N, p = 10, 0.52
+    return _close(2.0 * N * p * (1.0 - p), net_wins_variance(N, p), 1e-12)
 
 
 def _claim_entropy_max(scale: Scale, seed: int) -> tuple:
@@ -304,13 +302,13 @@ def _claim_variance_estimate(scale: Scale, seed: int) -> tuple:
 
 
 def _claim_fractional_kelly(scale: Scale, seed: int) -> tuple:
-    plan = fractional_plan(0.52, 2.0 / 3.0)
+    frac, full = tradeoff_table(0.52, [2.0 / 3.0, 1.0], 1000, 1000.0)
     ok = (
-        abs(plan.F_frac - 2.0 / 75.0) <= 1e-15
-        and plan.growth_frac < plan.growth_full
-        and plan.vol_frac < plan.vol_full
+        abs(frac.F - 2.0 / 75.0) <= 1e-15
+        and frac.utility < full.utility
+        and frac.volatility < full.volatility
     )
-    return 2.0 / 75.0, plan.F_frac, _rel(2.0 / 75.0, plan.F_frac), ok
+    return 2.0 / 75.0, frac.F, _rel(2.0 / 75.0, frac.F), ok
 
 
 def _claim_mgf(scale: Scale, seed: int) -> tuple:

@@ -8,7 +8,6 @@ import pytest
 
 from kellybench import (
     BinomialSpec,
-    CovarianceModel,
     DomainError,
     ResourceGuardError,
     TrialCounts,
@@ -88,25 +87,25 @@ def test_moments_match_enumeration(N, p):
     m = moments(spec)
     assert abs(m.mean - mean) < 1e-12
     assert abs(m.variance - var) < 1e-12
-    assert m.volatility == math.sqrt(m.variance)
+    assert math.sqrt(m.variance) == pytest.approx(math.sqrt(var), rel=1e-10)
 
 
 def test_covariance_models_disagree_by_design():
     N, p = 30, 0.52
-    assert covariance_uv(N, p, CovarianceModel.PAPER_INDEPENDENT) == 0.0
-    # V = N - U makes the counts perfectly anti-correlated: COV = -Np(1-p)
-    comp = covariance_uv(N, p, CovarianceModel.COMPLEMENTARY)
+    # the published value is 0; V = N - U makes the counts perfectly
+    # anti-correlated: COV = -Np(1-p)
+    comp = covariance_uv(N, p)
     assert comp == pytest.approx(-N * p * (1 - p), rel=1e-10)
+    assert comp != 0.0
 
 
 def test_net_wins_variance_under_both_models():
     N, p = 30, 0.52
-    indep = net_wins_variance(N, p, CovarianceModel.PAPER_INDEPENDENT)
-    comp = net_wins_variance(N, p, CovarianceModel.COMPLEMENTARY)
-    assert indep == 2.0 * N * p * (1 - p)
+    paper = 2.0 * N * p * (1 - p)
+    comp = net_wins_variance(N, p)
     # U - V = 2U - N has variance 4 Np(1-p), twice the zero-covariance value
     assert comp == pytest.approx(4.0 * N * p * (1 - p), rel=1e-10)
-    assert comp == pytest.approx(2.0 * indep, rel=1e-10)
+    assert comp == pytest.approx(2.0 * paper, rel=1e-10)
 
 
 # ------------------------------------------------------------------ mgf
@@ -139,6 +138,14 @@ def test_log_mgf_survives_where_mgf_overflows():
     assert math.isfinite(log_mgf(spec, 2.0))
     with pytest.raises(ResourceGuardError):
         mgf(spec, 2.0)
+
+
+def test_mgf_returns_values_up_to_the_float_limit():
+    # e^709.5 = 1.35e308 fits in a float64; e^710 does not
+    spec = BinomialSpec(N=1, p=1.0)
+    assert mgf(spec, 709.5) == 1.3549863193146328e+308
+    with pytest.raises(ResourceGuardError):
+        mgf(spec, 710.0)
 
 
 def test_mgf_rejects_nonfinite_argument():

@@ -151,6 +151,23 @@ def test_simulate_full_stake_drift_has_no_theory(tmp_path, capsys):
     assert len(err) == 1 and "nan" in err[0]
 
 
+@pytest.mark.parametrize("argv, rate", [
+    (["--p", "1.0", "--kelly"], math.log(2.0)),
+    (["--p", "0.0", "--stake", "0.3"], math.log1p(-0.3)),
+], ids=["p1-kelly", "p0-stake"])
+def test_simulate_deterministic_game_writes_no_z_score(tmp_path, capsys, argv, rate):
+    # every path has the same win count, so the spread of the log growth is
+    # rounding only: se is 0 and z_score nan, not a z of -14
+    assert main(["simulate", *argv, "--n", "1000", "--paths", "200", "--out", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "drift.csv")
+    drift = dict(zip(header, rows[0]))
+    assert float(drift["empirical_drift"]) == 1000 * rate / 1000
+    assert float(drift["se"]) == 0.0 and drift["z_score"] == "nan"
+    assert float(drift["theory"]) == pytest.approx(rate, rel=1e-15)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "same win count" in err[0]
+
+
 def test_simulate_refuses_few_paths_before_the_batch(tmp_path, capsys, monkeypatch):
     def no_batch(config):
         raise AssertionError("the batch ran")

@@ -78,7 +78,8 @@ def test_binomial_entropy_of_deterministic_game_is_zero():
 
 def test_growth_entropy_identity_across_grid():
     for p in np.linspace(0.5, 1.0 - 1e-9, 1000):
-        assert utility_entropy_identity(float(p)).gap < 1e-12
+        chk = utility_entropy_identity(float(p))
+        assert abs(chk.lhs - chk.rhs) < 1e-12
 
 
 def test_growth_entropy_identity_rejects_losing_games():

@@ -167,6 +167,24 @@ def test_pcg64_states_match_numpy(seed):
     assert state_inc(_pcg64_states(seed, 4090, 4100)) == [(r["state"], r["inc"]) for r in refs]
 
 
+def test_pcg64_states_peak_does_not_grow_with_the_seed():
+    # the seed's words are the same for every k and are held once, so a
+    # 4 000-bit seed (126 words) takes no more bytes a path than a one-word seed
+    def build_peak(seed: int) -> int:
+        tracemalloc.start()
+        try:
+            _pcg64_states(seed, 0, 8050)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    big = 2**4000 - 1
+    assert build_peak(big) <= 1.1 * build_peak(7)
+    refs = [np.random.default_rng((big, k)).bit_generator.state["state"] for k in (0, 8049)]
+    assert state_inc(_pcg64_states(big, 0, 8050)[[0, -1]]) == [
+        (r["state"], r["inc"]) for r in refs]
+
+
 @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
 def test_written_words_are_numpys_state(seed):
     # the words that _draw writes read back, through NumPy's own state
@@ -411,8 +429,9 @@ def test_full_stake_ruin_is_absorbed_at_zero():
     )
     # every ruined path is absorbed at exactly zero, survivors double each win
     final = batch.checkpoint_wealth[:, -1]
-    assert np.all(final[batch.ruined] == 0.0)
-    assert np.all(final[~batch.ruined] == 1000.0 * 2.0**N)
+    ruined = martingale_lab._ruined(batch.config, batch.wins)
+    assert np.all(final[ruined] == 0.0)
+    assert np.all(final[~ruined] == 1000.0 * 2.0**N)
 
 
 def test_certain_win_full_stake_doubles_every_trial():
@@ -426,8 +445,8 @@ def test_ruin_is_read_from_win_counts():
     # yet none lost at full stake: each keeps a finite log growth
     batch = simulate(SimConfig(w0=1.0, p=0.3, F=0.5, N=3000, paths=300, seed=1))
     assert np.all(batch.checkpoint_wealth[:, -1] == 0.0)
-    assert not batch.ruined.any()
-    assert np.all(np.isfinite(batch.log_growth_per_trial))
+    assert not martingale_lab._ruined(batch.config, batch.wins).any()
+    assert np.all(np.isfinite(martingale_lab._log_growth_per_trial(batch.config, batch.wins)))
     chk = log_drift_check(batch.config, batch.wins)
     assert chk.excluded_ruined == 0
     assert abs(chk.z_score) <= 3.0
@@ -435,7 +454,8 @@ def test_ruin_is_read_from_win_counts():
 
 def test_full_stake_drift_has_no_finite_theory():
     # U(1, p) = -inf for p < 1, so the survivors' drift has nothing to match;
-    # at p = 1 no path is ruined and U(1, 1) = log 2 is the drift
+    # at p = 1 no path is ruined and U(1, 1) = log 2 is the drift, with no
+    # spread to state a z-score against
     cfg = SimConfig(w0=1.0, p=0.99, F=1.0, N=5, paths=1000, seed=1)
     chk = log_drift_check(cfg, win_counts(cfg))
     assert math.isnan(chk.theory) and math.isnan(chk.z_score)
@@ -444,13 +464,18 @@ def test_full_stake_drift_has_no_finite_theory():
     sure = SimConfig(w0=1.0, p=1.0, F=1.0, N=5, paths=100, seed=1)
     chk = log_drift_check(sure, win_counts(sure))
     assert chk.theory == chk.empirical_drift == math.log(2.0)
-    assert chk.z_score == 0.0 and chk.excluded_ruined == 0
+    assert chk.se == 0.0 and math.isnan(chk.z_score) and chk.excluded_ruined == 0
 
 
 def test_ruin_probability_closed_form():
     assert ruin_probability_full_stake(1.0, 50) == 0.0
     assert ruin_probability_full_stake(0.0, 1) == 1.0
     assert ruin_probability_full_stake(0.52, 2) == pytest.approx(1 - 0.52**2, abs=1e-15)
+    for p in (1.5, -0.1, math.nan):
+        with pytest.raises(DomainError, match=r"probability .* outside \[0, 1\]"):
+            ruin_probability_full_stake(p, 2)
+    with pytest.raises(DomainError, match="trial count 0 must be at least 1"):
+        ruin_probability_full_stake(0.5, 0)
 
 
 # ---------------------------------------------------------- doob checks
@@ -485,7 +510,6 @@ def test_martingale_part_mean_stays_flat():
     cfg = SimConfig(w0=1000.0, p=0.52, F=0.04, N=100, paths=20_000, seed=4)
     batch = simulate(cfg)
     dec = doob_decompose(batch)
-    assert dec.growth_factor == conditional_growth_factor(0.52, 0.04)
     for j in range(len(dec.checkpoints)):
         m = dec.martingale_part[:, j]
         se = float(np.std(m, ddof=1) / math.sqrt(m.size))
@@ -498,7 +522,7 @@ def test_decomposition_recovers_expectation_split():
     dec = doob_decompose(batch)
     # E[W(I)] = E[M(I)] * g^I = w0 g^I = A(I) + w0: the expectation-level split
     for j, cp in enumerate(dec.checkpoints):
-        expected = cfg.w0 * dec.growth_factor**cp
+        expected = cfg.w0 * conditional_growth_factor(cfg.p, cfg.F)**cp
         assert dec.drift[j] + cfg.w0 == pytest.approx(expected, rel=1e-12)
 
 

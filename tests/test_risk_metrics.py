@@ -9,11 +9,11 @@ import pytest
 from kellybench import (
     ApproximationDomainError,
     DomainError,
+    NoEdgeError,
     ResourceGuardError,
     SimConfig,
     TrialCounts,
     expected_wealth_linear,
-    fractional_plan,
     kelly_fraction,
     simulate,
     tradeoff_table,
@@ -166,9 +166,9 @@ def test_variance_homogeneity_in_initial_wealth():
 def test_volatility_is_square_root_of_variance():
     row = tradeoff_table(0.52, [0.5], 100, 1000.0)[0]
     assert row.volatility == math.sqrt(variance_report(1000.0, 100, 0.52, row.F).paper_estimate)
-    plan = fractional_plan(0.52, 2.0 / 3.0)
-    rep = variance_report(1000.0, 1000, 0.52, plan.F_frac)
-    assert plan.vol_frac == math.sqrt(rep.paper_estimate)
+    frac = tradeoff_table(0.52, [2.0 / 3.0], 1000, 1000.0)[0]
+    rep = variance_report(1000.0, 1000, 0.52, frac.F)
+    assert frac.volatility == math.sqrt(rep.paper_estimate)
 
 
 def test_variance_oracle_matches_monte_carlo():
@@ -187,28 +187,27 @@ def test_variance_oracle_matches_monte_carlo():
 
 
 def test_fractional_plan_two_thirds_kelly():
-    plan = fractional_plan(0.52, 2.0 / 3.0)
-    assert plan.F_K == kelly_fraction(0.52)
-    assert plan.F_frac == pytest.approx(2.0 / 75.0, abs=1e-15)
-    assert plan.growth_frac < plan.growth_full
-    assert plan.vol_frac < plan.vol_full
+    frac, full = tradeoff_table(0.52, [2.0 / 3.0, 1.0], 1000, 1000.0)
+    assert full.F == kelly_fraction(0.52)
+    assert frac.F == pytest.approx(2.0 / 75.0, abs=1e-15)
+    assert frac.utility < full.utility
+    assert frac.volatility < full.volatility
 
 
 def test_fractional_dominance_over_grid():
     for p in np.linspace(0.505, 0.6, 20):
         for f in np.linspace(0.5, 0.99, 15):
-            plan = fractional_plan(float(p), float(f))
-            assert plan.growth_frac < plan.growth_full
-            assert plan.vol_frac < plan.vol_full
+            frac, full = tradeoff_table(float(p), [float(f), 1.0], 1000, 1000.0)
+            assert frac.utility < full.utility
+            assert frac.volatility < full.volatility
 
 
 def test_fractional_plan_rejects_out_of_range_multipliers():
-    with pytest.raises(DomainError):
-        fractional_plan(0.52, 0.4)
-    with pytest.raises(DomainError):
-        fractional_plan(0.52, 1.0)
-    with pytest.raises(DomainError):
-        fractional_plan(0.5, 0.75)
+    for f in (0.0, 1.5, math.nan):
+        with pytest.raises(DomainError):
+            tradeoff_table(0.52, [f], 1000, 1000.0)
+    with pytest.raises(NoEdgeError):
+        tradeoff_table(0.4, [0.5], 1000, 1000.0)
 
 
 # -------------------------------------------------------- tradeoff table
