@@ -46,7 +46,6 @@ from .martingale_lab import (
     log_drift_check,
     ruin_probability_full_stake,
     simulate,
-    win_counts,
 )
 from .risk_metrics import (
     VarianceReport,

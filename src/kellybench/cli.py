@@ -136,6 +136,8 @@ def cmd_analyze(args, parser) -> tuple[int, list[Table]]:
 
     if p > 0.5:
         part = regime_partition(p)
+        for note in part.notes:
+            print(f"partition: {note}", file=sys.stderr)
         tables.append((
             "partition.csv",
             ["p", "f_kelly", "f_star", "f_star_approx", "epsilon"],
@@ -189,7 +191,7 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
     rows = []
     try:
         with np.errstate(over="raise"):  # zero-variance games pass the guards at any w0
-            for j, cp in enumerate(config.checkpoints):
+            for j, cp in enumerate(batch.checkpoints):
                 w_cp = batch.checkpoint_wealth[:, j]
                 rows.append([
                     cp,

@@ -14,14 +14,19 @@ private layout, so a probe writes a known (state, inc) and reads it back
 through the generator's `state` property before any path is drawn; a layout
 it does not know raises KellyBenchError, and nothing is drawn. The tests
 check the states, and the words as `state` reads them, against NumPy's own.
-Full paths are never kept: a check needs only the win counts and, at each
-checkpoint I, W(I) and max W(0..I); the last checkpoint is always N.
+Full paths are never kept: a check needs only the win counts over all N
+steps and, at each checkpoint I, W(I) and max W(0..I). The checkpoints are
+the quarters of the horizon unless the caller names others.
 
-There is one sampler and two readers. `_draw` seeds, writes and draws a
+There is one sampler and one reader. `_draw` seeds, writes and draws a
 chunk's paths, tile by tile, and counts their wins. `simulate` writes each
-tile's wealth over its draws; `win_counts` keeps the counts only, which is
-all that the log drift and the full-stake ruin law depend on, so the
-registry's drift and ruin rows draw no wealth. The draw never reads F.
+tile's wealth over its draws up to the last checkpoint, and past it only
+counts wins. With no checkpoints it draws no wealth at all: the win counts
+are all that the log drift and the full-stake ruin law depend on. Since
+cumprod and the running max are sequential along a path, W(I) and max
+W(0..I) at a checkpoint do not depend on N or on the other checkpoints,
+and the draw never reads F; so one batch serves every check on a prefix of
+its horizon, at every stake.
 
 A chunk's working set is fixed in bytes, not in paths: its draws are
 overwritten by the step factors and then by the wealth, so a path-step
@@ -42,7 +47,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -121,7 +125,7 @@ class SimConfig:
 
     @property
     def checkpoints(self) -> tuple[int, ...]:
-        """The quarters of the horizon; the last is always N."""
+        """The quarters of the horizon, `simulate`'s default; the last is N."""
         quarters = {max(1, self.N // 4), max(1, self.N // 2), max(1, 3 * self.N // 4), self.N}
         return tuple(sorted(quarters))
 
@@ -131,9 +135,10 @@ class TrajectoryBatch:
     """Per-path summaries of a simulated batch: all that any check reads."""
 
     config: SimConfig
-    wins: np.ndarray  # (paths,) win count per path
-    checkpoint_wealth: np.ndarray  # (paths, len(config.checkpoints)), W(I)
-    checkpoint_running_max: np.ndarray  # (paths, len(config.checkpoints)), max W(0..I)
+    checkpoints: tuple[int, ...]  # increasing, in [1, N]; may be empty
+    wins: np.ndarray  # (paths,) win count per path over all N steps
+    checkpoint_wealth: np.ndarray  # (paths, len(checkpoints)), W(I)
+    checkpoint_running_max: np.ndarray  # (paths, len(checkpoints)), max W(0..I)
 
 
 def _ruined(config: SimConfig, wins: np.ndarray) -> np.ndarray:
@@ -326,16 +331,23 @@ def _draw(config: SimConfig, start: int, stop: int, tile: int,
 
 def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) -> None:
     """Simulate paths [start, stop) into their rows of the batch, `tile`
-    steps at a time, writing each tile's wealth over its draws."""
+    steps at a time, writing each tile's wealth over its draws up to the
+    last checkpoint; the tiles past it only count wins."""
     config = batch.config
     F = config.F
-    cps = np.asarray(config.checkpoints)
+    cps = np.asarray(batch.checkpoints, dtype=np.int64)
+    last = batch.checkpoints[-1] if batch.checkpoints else 0
     rows = slice(start, stop)
     # carried from tile to tile: W and max W(0..I) where the tile starts
     wealth = np.full(stop - start, config.w0)
     top = wealth.copy()
     for t0, x, won in _draw(config, start, stop, tile, batch.wins[rows]):
-        width = x.shape[1]
+        if t0 >= last:
+            continue
+        # no wealth past the last checkpoint: a prefix of the draws is its own
+        # recursion, so the columns written are those of the whole horizon
+        width = min(x.shape[1], last - t0)
+        x, won = x[:, :width], won[:, :width]
         # the factor 1 + F Z(I) is exactly 1.0 + F on a win and 1.0 - F on a
         # loss; it is written over the spent draws
         np.copyto(x, 1.0 - F)
@@ -357,17 +369,31 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
         wealth, top = x[:, -1].copy(), run[:, -1]
 
 
-def simulate(config: SimConfig) -> TrajectoryBatch:
-    """Run the configured batch of independent trajectories.
+def simulate(config: SimConfig, checkpoints: tuple[int, ...] | None = None) -> TrajectoryBatch:
+    """Run the configured batch of independent trajectories, summarised at
+    `checkpoints` (default: `config.checkpoints`, the quarters of the horizon).
+
+    The checkpoints must increase and lie in [1, N]; wealth is computed up
+    to the last of them, the win counts always cover all N steps, and
+    `checkpoints=()` draws the win counts alone. The column of checkpoint I
+    is bit for bit the last column of a run with horizon I.
 
     Reproducibility contract: identical config (seed included) yields a
     bitwise-identical batch, because path k draws exactly
     `np.random.default_rng((seed, k)).random(N)`.
     """
+    if checkpoints is None:
+        checkpoints = config.checkpoints
+    checkpoints = tuple(checkpoints)
+    if any(not 1 <= c <= config.N for c in checkpoints) or any(
+            a >= b for a, b in zip(checkpoints, checkpoints[1:])):
+        raise DomainError(
+            f"checkpoints {checkpoints!r} must increase within [1, {config.N}]")
     chunks = _chunks(config)
-    shape = (config.paths, len(config.checkpoints))
+    shape = (config.paths, len(checkpoints))
     batch = TrajectoryBatch(
         config=config,
+        checkpoints=checkpoints,
         wins=np.zeros(config.paths, dtype=np.int64),
         checkpoint_wealth=np.empty(shape),
         checkpoint_running_max=np.empty(shape),
@@ -375,21 +401,6 @@ def simulate(config: SimConfig) -> TrajectoryBatch:
     for start, stop, tile in chunks:
         _simulate_chunk(batch, start, stop, tile)
     return batch
-
-
-def win_counts(config: SimConfig) -> np.ndarray:
-    """Per-path win counts of the configured batch, drawing no wealth.
-
-    They equal `simulate(config).wins` bit for bit: the same chunks draw
-    the same substreams. F is not read, so configs that differ only in F
-    share one draw.
-    """
-    wins = np.zeros(config.paths, dtype=np.int64)
-    for start, stop, tile in _chunks(config):
-        # consumed without binding a tile, whose views would keep this
-        # chunk's buffers alive while the next chunk allocates its own
-        deque(_draw(config, start, stop, tile, wins[start:stop]), maxlen=0)
-    return wins
 
 
 def conditional_growth_factor(p: float, F: float) -> float:
@@ -507,9 +518,12 @@ def doob_bound(w0: float, p: float, F: float, N: int, lam: float) -> float:
 
 
 def empirical_sup_prob(batch: TrajectoryBatch, lam: float) -> float:
-    """Fraction of paths whose running maximum reaches lambda."""
+    """Fraction of paths whose running maximum up to the batch's last
+    checkpoint reaches lambda."""
     if not (lam > 0.0):
         raise DomainError(f"threshold {lam!r} must be positive")
+    if not batch.checkpoints:
+        raise DomainError("a batch without checkpoints has no running maximum")
     return float(np.mean(batch.checkpoint_running_max[:, -1] >= lam))
 
 
@@ -527,9 +541,9 @@ def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:
             "decomposition is scoped to the growth regime (p > 1/2, U(F, p) >= 0)"
         )
     g = conditional_growth_factor(cfg.p, cfg.F)
-    cps = np.asarray(cfg.checkpoints, dtype=float)
+    cps = np.asarray(batch.checkpoints, dtype=float)
     log_growth = cps * math.log(g)
-    if log_growth[-1] <= -_LOG_FLOAT_TINY:
+    if log_growth.max(initial=0.0) <= -_LOG_FLOAT_TINY:
         mart = batch.checkpoint_wealth * g ** (-cps)
         drift = cfg.w0 * g**cps - cfg.w0
     else:
@@ -539,7 +553,7 @@ def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:
             mart = np.exp(np.log(batch.checkpoint_wealth) - log_growth)
         drift = np.exp(math.log(cfg.w0) + log_growth) - cfg.w0
     return DoobDecomposition(
-        checkpoints=cfg.checkpoints,
+        checkpoints=batch.checkpoints,
         martingale_part=mart,
         drift=drift,
     )

@@ -49,13 +49,15 @@ class SeriesApprox:
 
 @dataclass(frozen=True)
 class RegimePartition:
-    """Critical stake fractions partitioning [0, 1] for a given game."""
+    """Critical stake fractions partitioning [0, 1] for a given game; a
+    fraction whose hypothesis fails at p is nan, and `notes` says why."""
 
     f_kelly: float
     f_star: float
     f_star_approx: float
     epsilon: float
     p: float
+    notes: tuple[str, ...] = ()
 
 
 def _check_fp(F: float, p: float) -> None:
@@ -108,6 +110,10 @@ def f_star(p: float) -> float:
 
     Bisection is guaranteed by the bracket U(F_K + delta) > 0 and
     U(1 - delta) < 0; Newton is avoided because U' blows up near F = 1.
+    Where U(1 - delta) is still positive, the bracket reaches up to the
+    largest float below 1. Near 1, U moves by more than ROOT_TOL from one
+    float to the next, so the bisection may close on two adjacent floats;
+    it then returns the one with the smaller |U|, the best root float64 has.
     """
     if p <= 0.5:
         raise NoEdgeError(f"break-even root requires p > 1/2, got {p!r}")
@@ -118,16 +124,19 @@ def f_star(p: float) -> float:
     lo = kelly_fraction(p) + DELTA
     hi = 1.0 - DELTA
     if utility(hi, p) >= 0.0:
-        # root closer to 1 than float64 can resolve (p extremely high)
-        raise DegenerateGameError(
-            f"p={p!r}: break-even root is not representable below 1 - {DELTA}"
-        )
-    mid = 0.5 * (lo + hi)
+        hi = math.nextafter(1.0, 0.0)
+        if utility(hi, p) >= 0.0:
+            # 1 - F* is below float64's resolution at 1 (p extremely high)
+            raise DegenerateGameError(
+                f"p={p!r}: break-even root is not representable below 1"
+            )
     for _ in range(_MAX_BISECT):
         mid = 0.5 * (lo + hi)
         um = utility(mid, p)
         if abs(um) <= ROOT_TOL:
             return mid
+        if mid in (lo, hi):  # lo and hi are adjacent floats
+            return min(lo, hi, key=lambda f: abs(utility(f, p)))
         if um > 0.0:
             lo = mid
         else:
@@ -171,12 +180,29 @@ def utility_curve(p: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def regime_partition(p: float) -> RegimePartition:
-    """All critical fractions of the game in one report."""
-    series = f_star_approx(p)
+    """All critical fractions of the game in one report.
+
+    The series estimate holds only for F_K^2 < 3/8, and the root only where
+    it is a float below 1; outside them those fractions are nan, each with
+    a note, and the rest of the report stands.
+    """
+    f_kelly = kelly_fraction(p)
+    notes = []
+    try:
+        series = f_star_approx(p)
+    except SeriesInvalidError as exc:
+        series = SeriesApprox(approx=math.nan, epsilon=math.nan)
+        notes.append(f"f_star_approx and epsilon are nan: {exc}")
+    try:
+        root = f_star(p)
+    except DegenerateGameError as exc:
+        root = math.nan
+        notes.append(f"f_star is nan: {exc}")
     return RegimePartition(
-        f_kelly=kelly_fraction(p),
-        f_star=f_star(p),
+        f_kelly=f_kelly,
+        f_star=root,
         f_star_approx=series.approx,
         epsilon=series.epsilon,
         p=p,
+        notes=tuple(notes),
     )

@@ -15,12 +15,20 @@ expected verdict once; claims fall into two classes:
 The acceptance gate (tests/test_acceptance.py) evaluates every row at the
 full scale and asserts its expected verdict, mismatches included, so a
 claim's config, tolerance and expected verdict are written only here.
+
+A row is checked against one `Run` of the registry: its scale, its seed,
+and the Monte Carlo batch that the regime rows share. The drift, Doob and
+flatness rows all play p = 0.52 over a prefix of the same paths, so the
+run draws them once, at F = 0.04 to the scale's horizon, on first use. The
+draw never reads F, and W(I) and max W(0..I) at a checkpoint do not depend
+on the horizon, so each row reads the bytes that its own batch would give.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -28,6 +36,7 @@ import numpy as np
 from . import (
     BinomialSpec,
     SimConfig,
+    TrajectoryBatch,
     TrialCounts,
     conditional_growth_factor,
     covariance_uv,
@@ -56,7 +65,6 @@ from . import (
     utility_entropy_identity,
     variance_report,
     wealth_approx,
-    win_counts,
 )
 from .bernoulli_core import _enumerated_count_moments
 from .entropy import binomial_entropy_forms
@@ -79,6 +87,26 @@ class Scale:
     N: int
 
 
+# the shared batch: the flatness row reads the first four columns (its
+# quarters of N = 100), the Doob row the running maximum at 200
+_SHARED_CHECKPOINTS = (25, 50, 75, 100, 200)
+
+
+@dataclass
+class Run:
+    """One run of the registry at a scale and seed, with the batch that the
+    regime rows share, drawn when a row first reads it."""
+
+    scale: Scale
+    seed: int
+
+    @cached_property
+    def batch(self) -> TrajectoryBatch:
+        cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=self.scale.N, paths=self.scale.paths,
+                        seed=self.seed)
+        return simulate(cfg, checkpoints=_SHARED_CHECKPOINTS)
+
+
 @dataclass(frozen=True)
 class Claim:
     """One registry row; its verdict is "match" exactly when the check holds."""
@@ -86,7 +114,7 @@ class Claim:
     claim_id: str
     paper_location: str
     expected: str  # match | mismatch
-    check: Callable[[Scale, int], tuple]  # -> (paper, oracle, rel_gap, holds)
+    check: Callable[[Run], tuple]  # -> (paper, oracle, rel_gap, holds)
 
 
 SCALES = {
@@ -106,7 +134,7 @@ def _close(paper: float, oracle: float, tol: float) -> tuple:
     return paper, oracle, gap, gap <= tol
 
 
-def _claim_count_moments(scale: Scale, seed: int) -> tuple:
+def _claim_count_moments(run: Run) -> tuple:
     spec = BinomialSpec(N=20, p=0.52)
     mean, mean_sq, _ = _enumerated_count_moments(spec.N, spec.p)
     var = mean_sq - mean * mean
@@ -116,46 +144,46 @@ def _claim_count_moments(scale: Scale, seed: int) -> tuple:
             gap, gap <= 1e-12)
 
 
-def _claim_covariance(scale: Scale, seed: int) -> tuple:
+def _claim_covariance(run: Run) -> tuple:
     return _close(0.0, covariance_uv(10, 0.52), 1e-12)
 
 
-def _claim_net_wins_variance(scale: Scale, seed: int) -> tuple:
+def _claim_net_wins_variance(run: Run) -> tuple:
     N, p = 10, 0.52
     return _close(2.0 * N * p * (1.0 - p), net_wins_variance(N, p), 1e-12)
 
 
-def _claim_entropy_max(scale: Scale, seed: int) -> tuple:
+def _claim_entropy_max(run: Run) -> tuple:
     h = shannon(0.5)
     d = (shannon(0.5 + 1e-6) - shannon(0.5 - 1e-6)) / 2e-6
     gap = max(_rel(h, math.log(2.0)), abs(d))
     return math.log(2.0), h, gap, gap <= 1e-9
 
 
-def _claim_binomial_entropy(scale: Scale, seed: int) -> tuple:
+def _claim_binomial_entropy(run: Run) -> tuple:
     direct, expanded = binomial_entropy_forms(BinomialSpec(N=12, p=0.52))
     return _close(expanded, direct, 1e-10)
 
 
-def _claim_entropy_p1(scale: Scale, seed: int) -> tuple:
+def _claim_entropy_p1(run: Run) -> tuple:
     direct, _ = binomial_entropy_forms(BinomialSpec(N=8, p=1.0))
     # source text appends a stray "= beta"; the computed value is 0
     return 0.0, direct, abs(direct), abs(direct) <= 1e-15
 
 
-def _claim_kelly_point(scale: Scale, seed: int) -> tuple:
+def _claim_kelly_point(run: Run) -> tuple:
     fk = kelly_fraction(0.52)
     d1 = utility_derivatives(fk, 0.52).first
     gap = max(abs(fk - 0.04), abs(d1))
     return 0.04, fk, gap, gap <= 1e-12
 
 
-def _claim_entropy_identity(scale: Scale, seed: int) -> tuple:
+def _claim_entropy_identity(run: Run) -> tuple:
     chk = utility_entropy_identity(0.52)
     return _close(chk.lhs, chk.rhs, 1e-12)
 
 
-def _claim_break_even_root(scale: Scale, seed: int) -> tuple:
+def _claim_break_even_root(run: Run) -> tuple:
     root = f_star(0.52)
     series = f_star_approx(0.52)
     u_at_root = utility(root, 0.52)
@@ -163,8 +191,8 @@ def _claim_break_even_root(scale: Scale, seed: int) -> tuple:
     return series.approx, root, _rel(series.approx, root), ok
 
 
-def _claim_dominance(scale: Scale, seed: int) -> tuple:
-    rng = np.random.default_rng(seed)
+def _claim_dominance(run: Run) -> tuple:
+    rng = np.random.default_rng(run.seed)
     worst = math.inf
     for _ in range(1000):
         p_hat = rng.uniform(0.5 + 1e-6, 0.99)
@@ -174,7 +202,7 @@ def _claim_dominance(scale: Scale, seed: int) -> tuple:
     return "> 0", worst, 0.0, worst > 0.0
 
 
-def _claim_sign_partition(scale: Scale, seed: int) -> tuple:
+def _claim_sign_partition(run: Run) -> tuple:
     p = 0.6
     root = f_star(p)
     fs = np.linspace(1e-6, 1.0 - 1e-9, 2000)
@@ -184,27 +212,27 @@ def _claim_sign_partition(scale: Scale, seed: int) -> tuple:
     return "sign trichotomy", "grid verified" if ok else "violated", 0.0, ok
 
 
-def _claim_linear_expectation(scale: Scale, seed: int) -> tuple:
+def _claim_linear_expectation(run: Run) -> tuple:
     game = (1000.0, 0.52, 0.04, 20)
     return _close(expected_wealth_linear(*game), expected_wealth_enumeration(*game), 1e-10)
 
 
-def _claim_product_expectation(scale: Scale, seed: int) -> tuple:
+def _claim_product_expectation(run: Run) -> tuple:
     game = (1000.0, 0.52, 0.2, 20)
     return _close(expected_wealth_product(*game), expected_wealth_enumeration(*game), 1e-10)
 
 
-def _claim_pqf2_example(scale: Scale, seed: int) -> tuple:
+def _claim_pqf2_example(run: Run) -> tuple:
     p, F = 0.51, 0.02
     return _close(0.00009996, p * (1 - p) * F * F, 1e-10)
 
 
-def _claim_exponential_growth(scale: Scale, seed: int) -> tuple:
+def _claim_exponential_growth(run: Run) -> tuple:
     game = (1000.0, 0.52, 0.04, 100)
     return _close(expected_wealth_exponential(*game), expected_wealth_linear(*game), 0.01)
 
 
-def _claim_growth_factor_polynomials(scale: Scale, seed: int) -> tuple:
+def _claim_growth_factor_polynomials(run: Run) -> tuple:
     p = 0.52
     fk = kelly_fraction(p)
     lin = 1.0 + fk * (2 * p - 1)
@@ -215,22 +243,21 @@ def _claim_growth_factor_polynomials(scale: Scale, seed: int) -> tuple:
     return f"{poly_lin:.12g},{poly_prod:.12g}", f"{lin:.12g},{prod:.12g}", gap, gap <= 1e-12
 
 
-def _claim_one_step_ratio(scale: Scale, seed: int) -> tuple:
+def _claim_one_step_ratio(run: Run) -> tuple:
     # g > 1 for any F > 0 at p > 1/2: the raw-wealth supermartingale
     # labelling cannot hold at the one-step expectation level
     g = conditional_growth_factor(0.52, 0.2)
     return "<= 1 (claimed)", g, abs(g - 1.0), g <= 1.0
 
 
-def _claim_drift_trichotomy(scale: Scale, seed: int) -> tuple:
-    p = 0.52
-    base = SimConfig(w0=1.0, p=p, F=kelly_fraction(p), N=scale.N, paths=scale.paths, seed=seed)
-    # the draw does not read F: the three stakes share one set of win counts
-    wins = win_counts(base)
+def _claim_drift_trichotomy(run: Run) -> tuple:
+    batch = run.batch
+    p = batch.config.p
+    # the draw does not read F: the three stakes share the batch's win counts
     zs = []
     signs_ok = True
     for F, want in ((kelly_fraction(p), 1), (f_star(p), 0), (0.2, -1)):
-        chk = log_drift_check(replace(base, F=F), wins)
+        chk = log_drift_check(replace(batch.config, F=F), batch.wins)
         zs.append(abs(chk.z_score))
         if want > 0:
             signs_ok &= chk.empirical_drift > 3 * chk.se
@@ -239,42 +266,42 @@ def _claim_drift_trichotomy(scale: Scale, seed: int) -> tuple:
     return "z within 3", max(zs), 0.0, signs_ok and max(zs) <= 3.0
 
 
-def _claim_ruin_law(scale: Scale, seed: int) -> tuple:
+def _claim_ruin_law(run: Run) -> tuple:
     p, N = 0.52, 50
-    cfg = SimConfig(w0=1.0, p=p, F=1.0, N=N, paths=scale.paths, seed=seed)
-    emp = float(np.mean(_ruined(cfg, win_counts(cfg))))
+    cfg = SimConfig(w0=1.0, p=p, F=1.0, N=N, paths=run.scale.paths, seed=run.seed)
+    emp = float(np.mean(_ruined(cfg, simulate(cfg, checkpoints=()).wins)))
     theory = ruin_probability_full_stake(p, N)
-    se = math.sqrt(theory * (1 - theory) / scale.paths)
+    se = math.sqrt(theory * (1 - theory) / cfg.paths)
     return theory, emp, _rel(theory, emp), abs(emp - theory) <= 3 * se
 
 
-def _claim_doob_inequality(scale: Scale, seed: int) -> tuple:
-    cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=200, paths=scale.paths, seed=seed)
-    batch = simulate(cfg)
+def _claim_doob_inequality(run: Run) -> tuple:
+    batch = run.batch
+    cfg, N = batch.config, batch.checkpoints[-1]  # the maximum over I <= 200
     lam_grid = np.linspace(1.01, 2.0, 20)
     worst = -math.inf
     for lam in lam_grid:
-        bound = doob_bound(cfg.w0, cfg.p, cfg.F, cfg.N, lam)
+        bound = doob_bound(cfg.w0, cfg.p, cfg.F, N, lam)
         worst = max(worst, empirical_sup_prob(batch, lam) - bound)
     return "<= 0", worst, 0.0, worst <= 0.0
 
 
-def _claim_martingale_flatness(scale: Scale, seed: int) -> tuple:
-    cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=100, paths=scale.paths, seed=seed)
-    batch = simulate(cfg)
+def _claim_martingale_flatness(run: Run) -> tuple:
+    batch = run.batch
+    cfg = batch.config
     dec = doob_decompose(batch)
     worst = 0.0
-    for j in range(len(dec.checkpoints)):
+    for j in range(4):  # the quarters of N = 100
         col = dec.martingale_part[:, j]
         se = float(np.std(col, ddof=1) / math.sqrt(col.size))
         worst = max(worst, abs(float(np.mean(col)) - cfg.w0) / se)
     return "z within 3", worst, 0.0, worst <= 3.0
 
 
-def _claim_pathwise_decomposition(scale: Scale, seed: int) -> tuple:
+def _claim_pathwise_decomposition(run: Run) -> tuple:
     # the pathwise split W = M + A is not an identity under these
     # definitions of M and A; only the expectation-level identity holds
-    cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=20, paths=200, seed=seed)
+    cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=20, paths=200, seed=run.seed)
     batch = simulate(cfg)
     dec = doob_decompose(batch)
     w_at_end = batch.checkpoint_wealth[:, -1]
@@ -283,7 +310,7 @@ def _claim_pathwise_decomposition(scale: Scale, seed: int) -> tuple:
     return "identity (claimed)", gap, gap, gap <= 1e-12
 
 
-def _claim_wealth_approx(scale: Scale, seed: int) -> tuple:
+def _claim_wealth_approx(run: Run) -> tuple:
     # the published second-order form drops the F^2 U V cross term, so its
     # error is O(F^2): halving F cuts it ~4x, not the ~8x a cubic tail gives
     counts = TrialCounts(U=12, V=8, N=20)
@@ -296,12 +323,12 @@ def _claim_wealth_approx(scale: Scale, seed: int) -> tuple:
     return ">= 8x reduction", ratio, abs(ratio - 8.0) / 8.0, ratio >= 8.0
 
 
-def _claim_variance_estimate(scale: Scale, seed: int) -> tuple:
+def _claim_variance_estimate(run: Run) -> tuple:
     rep = variance_report(1000.0, 100, 0.52, 0.04)
     return _close(rep.paper_estimate, rep.oracle_exact, 1e-3)
 
 
-def _claim_fractional_kelly(scale: Scale, seed: int) -> tuple:
+def _claim_fractional_kelly(run: Run) -> tuple:
     frac, full = tradeoff_table(0.52, [2.0 / 3.0, 1.0], 1000, 1000.0)
     ok = (
         abs(frac.F - 2.0 / 75.0) <= 1e-15
@@ -311,12 +338,12 @@ def _claim_fractional_kelly(scale: Scale, seed: int) -> tuple:
     return 2.0 / 75.0, frac.F, _rel(2.0 / 75.0, frac.F), ok
 
 
-def _claim_mgf(scale: Scale, seed: int) -> tuple:
+def _claim_mgf(run: Run) -> tuple:
     spec = BinomialSpec(N=8, p=0.52)
     return _close(mgf(spec, 0.3), mgf_bruteforce(spec, 0.3), 1e-12)
 
 
-def _claim_q_typo(scale: Scale, seed: int) -> tuple:
+def _claim_q_typo(run: Run) -> tuple:
     # source worked example states q = 0.475 for p = 0.515; 1 - p = 0.485
     return _close(0.475, 1.0 - 0.515, 1e-12)
 
@@ -375,8 +402,8 @@ _CLAIMS = (
 )
 
 
-def _evaluate(claim: Claim, scale: Scale, seed: int) -> ClaimResult:
-    paper, oracle, gap, holds = claim.check(scale, seed)
+def _evaluate(claim: Claim, run: Run) -> ClaimResult:
+    paper, oracle, gap, holds = claim.check(run)
     verdict = "match" if holds else "mismatch"
     return ClaimResult(claim.claim_id, claim.paper_location, paper, oracle, gap, verdict)
 
@@ -390,8 +417,8 @@ def run_verification(seed: int, scale: str = "quick") -> tuple[list[ClaimResult]
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; use one of {sorted(SCALES)}")
     _check_seed(seed)
-    sc = SCALES[scale]
-    results = [_evaluate(claim, sc, seed) for claim in _CLAIMS]
+    run = Run(SCALES[scale], seed)
+    results = [_evaluate(claim, run) for claim in _CLAIMS]
     clean = all(
         r.verdict == "match" for claim, r in zip(_CLAIMS, results) if claim.expected == "match"
     )

@@ -1,7 +1,8 @@
 """Release gate: every claim-registry row at full scale, one printed verdict each.
 
-Each registry case evaluates one row of `kellybench.verify` at the full scale
-with the gate's seed and asserts the verdict the row expects, documented
+Each registry case evaluates one row of `kellybench.verify` on one run at the
+full scale with the gate's seed, which every case shares as `verify --full`
+does, and asserts the verdict the row expects, documented
 mismatches included: a published error that starts to "match" fails the gate
 as surely as a regression. Three rows run under the criterion names they had
 before the registry existed; criteria 9 and 11 check properties no registry
@@ -16,7 +17,7 @@ import pytest
 
 from kellybench import SimConfig, simulate, variance_report
 from kellybench.cli import main
-from kellybench.verify import _CLAIMS, SCALES, _evaluate
+from kellybench.verify import _CLAIMS, SCALES, Run, _evaluate
 
 SEED = 424242
 THREADS = 4
@@ -31,9 +32,16 @@ def report(name: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def gate(claim_id: str) -> None:
+@pytest.fixture(scope="module")
+def full_run() -> Run:
+    # one registry run for every row, as `verify --full` makes: the drift, Doob
+    # and flatness rows read its one shared batch, drawn by the first of them
+    return Run(SCALES["full"], SEED)
+
+
+def gate(run: Run, claim_id: str) -> None:
     claim = next(c for c in _CLAIMS if c.claim_id == claim_id)
-    r = _evaluate(claim, SCALES["full"], SEED)
+    r = _evaluate(claim, run)
     report(claim_id, r.verdict == claim.expected,
            f"{r.verdict}, expected {claim.expected} (paper {r.paper_value}, "
            f"oracle {r.oracle_value}, gap {r.rel_gap:.3g})")
@@ -42,20 +50,20 @@ def gate(claim_id: str) -> None:
 @pytest.mark.parametrize(
     "claim_id", [c.claim_id for c in _CLAIMS if c.claim_id not in _NAMED_ROWS]
 )
-def test_registry_claim(claim_id):
-    gate(claim_id)
+def test_registry_claim(full_run, claim_id):
+    gate(full_run, claim_id)
 
 
-def test_criterion_05_drift_trichotomy():
-    gate("drift-trichotomy")
+def test_criterion_05_drift_trichotomy(full_run):
+    gate(full_run, "drift-trichotomy")
 
 
-def test_criterion_07_doob_maximal_inequality():
-    gate("doob-maximal-inequality")
+def test_criterion_07_doob_maximal_inequality(full_run):
+    gate(full_run, "doob-maximal-inequality")
 
 
-def test_criterion_08_martingale_flatness():
-    gate("martingale-flatness")
+def test_criterion_08_martingale_flatness(full_run):
+    gate(full_run, "martingale-flatness")
 
 
 def test_criterion_09_variance_reporting():

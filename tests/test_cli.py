@@ -56,6 +56,33 @@ def test_analyze_without_edge_omits_partition(tmp_path, capsys):
     assert "partition omitted" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p, nan_columns, lines", [
+    ("0.81", {"f_star_approx", "epsilon"}, 1),  # the series needs F_K^2 < 3/8
+    ("0.95", {"f_star_approx", "epsilon"}, 1),  # the root is the best float below 1
+    ("0.985", {"f_star", "f_star_approx", "epsilon"}, 2),  # no root below 1 in float64
+])
+def test_analyze_writes_nan_where_a_hypothesis_fails(tmp_path, capsys, p, nan_columns, lines):
+    assert main(["analyze", "--p", p, "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    assert err.count("partition: ") == len(err.splitlines()) == lines
+    header, rows = read_rows(tmp_path / "partition.csv")
+    row = {k: float(v) for k, v in zip(header, rows[0])}
+    assert {k for k, v in row.items() if math.isnan(v)} == nan_columns
+    if "f_star" not in nan_columns:
+        assert row["f_kelly"] < row["f_star"] < 1.0
+    assert (tmp_path / "utility_curve.csv").exists() and (tmp_path / "entropy.csv").exists()
+
+
+def test_analyze_exits_zero_on_the_whole_edge_grid(tmp_path):
+    # every p on the 0.005 grid over (0.5, 1) writes its three tables
+    for k in range(1, 100):
+        out = tmp_path / str(k)
+        argv = ["analyze", "--p", f"0.{500 + 5 * k:03d}", "--grid", "2", "--out", str(out)]
+        assert main(argv) == 0
+        assert sorted(f.name for f in out.iterdir()) == [
+            "entropy.csv", "partition.csv", "utility_curve.csv"]
+
+
 def test_analyze_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     main(["analyze", "--p", "0.52", "--out", str(a)])
@@ -322,7 +349,7 @@ def test_tradeoff_high_edge_and_overflow(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["simulate", "--p", "0.52", "--kelly", "--n", "128", "--paths", "50"],  # < 100 paths
-    ["analyze", "--p", "0.9"],  # series estimate of F* invalid at this edge
+    ["analyze", "--p", "0.52", "--grid", "1"],  # a curve needs two points
     ["simulate", "--p", "0.9", "--stake", "0.8", "--n", "5000", "--paths", "200"],  # E[W] overflows
     ["simulate", "--p", "0.9", "--stake", "0.8", "--n", "1000", "--paths", "200"],  # Var[W] too
     ["simulate", *SIM_ARGS, "--seed", "-1"],

@@ -28,7 +28,6 @@ from kellybench import (
     log_drift_check,
     ruin_probability_full_stake,
     simulate,
-    win_counts,
 )
 from kellybench import martingale_lab
 from kellybench.cli import main
@@ -66,15 +65,15 @@ def test_default_checkpoints_are_quartiles():
 
 
 def test_resource_guard_on_total_steps():
-    for run in (simulate, win_counts):
+    for checkpoints in (None, ()):
         with pytest.raises(ResourceGuardError):
-            run(small_config(N=100_000, paths=100_000))
+            simulate(small_config(N=100_000, paths=100_000), checkpoints=checkpoints)
 
 
-def traced_peak(cfg: SimConfig, run=simulate) -> int:
+def traced_peak(cfg: SimConfig, checkpoints=None) -> int:
     tracemalloc.start()
     try:
-        run(cfg)
+        simulate(cfg, checkpoints=checkpoints)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -102,8 +101,9 @@ def test_simulate_peak_memory_does_not_grow_with_horizon():
     SimConfig(w0=1.0, p=0.5, F=0.01, N=1_000_000, paths=1, seed=1),  # time tiles
 ], ids=["chunks", "tiles"])
 def test_win_counts_peak_memory_is_no_higher_than_simulate(cfg):
-    # the same draw buffers, and none of the wealth summary's arrays
-    assert traced_peak(cfg, win_counts) <= traced_peak(cfg)
+    # the count-only draw: the same draw buffers, and none of the wealth
+    # summary's arrays
+    assert traced_peak(cfg, checkpoints=()) <= traced_peak(cfg)
 
 
 # ------------------------------------------------------ reproducibility
@@ -203,9 +203,9 @@ def test_unknown_state_layout_raises(monkeypatch, tmp_path, capsys):
               if layout != real}
     assert len(others) == len(martingale_lab._PCG64_LAYOUTS) - 1
     monkeypatch.setattr(martingale_lab, "_PCG64_LAYOUTS", others)
-    for run in (simulate, win_counts):
+    for checkpoints in (None, ()):
         with pytest.raises(KellyBenchError, match="none of the known layouts"):
-            run(small_config())
+            simulate(small_config(), checkpoints=checkpoints)
     # the CLI exits 2 with one error line and writes no CSV
     assert main(["simulate", "--p", "0.52", "--kelly", "--n", "10", "--paths", "200",
                  "--out", str(tmp_path)]) == 2
@@ -278,16 +278,49 @@ def test_win_counts_equal_simulate_wins(monkeypatch, name, budget, tile, chunk):
     if budget is not None:
         monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
     monkeypatch.setattr(martingale_lab, "_draw", recording_draw)
-    counts = win_counts(cfg)
+    counts = simulate(cfg, checkpoints=()).wins
     assert calls == [(chunk, tile)] * (cfg.paths // chunk)
     assert counts.dtype == wins.dtype
     assert np.array_equal(counts, wins)
 
 
+@pytest.mark.parametrize("budget", [None, 4000, 296, 200, 8],
+                         ids=["default", "chunks", "tiles-37", "tiles-25", "tile-per-step"])
+@pytest.mark.parametrize("name", KERNEL_CONFIGS)
+def test_checkpoint_columns_are_the_runs_of_their_horizons(monkeypatch, name, budget):
+    # the column at checkpoint I is the last column of a run of horizon I:
+    # a batch at N = 100 serves checks at 25, 60 and 99 with their own bytes,
+    # and its win counts still cover all 100 steps
+    cfg = replace(KERNEL_CONFIGS[name], paths=10)
+    cps = (25, 60, 99)
+    if budget is not None:
+        monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
+    batch = simulate(cfg, checkpoints=cps)
+    assert batch.checkpoints == cps
+    assert np.array_equal(batch.wins, simulate(cfg, checkpoints=()).wins)
+    for j, c in enumerate(cps):
+        own = simulate(replace(cfg, N=c))
+        assert np.array_equal(batch.checkpoint_wealth[:, j], own.checkpoint_wealth[:, -1])
+        assert np.array_equal(batch.checkpoint_running_max[:, j],
+                              own.checkpoint_running_max[:, -1])
+
+
+def test_checkpoints_must_increase_within_the_horizon():
+    cfg = small_config(N=100)
+    assert simulate(cfg).checkpoints == cfg.checkpoints
+    for cps in ((0, 50), (50, 101), (50, 50), (60, 50)):
+        with pytest.raises(DomainError, match="must increase within"):
+            simulate(cfg, checkpoints=cps)
+    count_only = simulate(cfg, checkpoints=())
+    assert count_only.checkpoint_wealth.shape == (cfg.paths, 0)
+    with pytest.raises(DomainError):
+        empirical_sup_prob(count_only, 1.5 * cfg.w0)
+
+
 def test_win_counts_do_not_read_the_stake():
     # so the drift row's three stakes can share one draw
     cfg = small_config(N=100, paths=300)
-    wins = win_counts(cfg)
+    wins = simulate(cfg, checkpoints=()).wins
     for F in (0.0, f_star(cfg.p), 0.5, 1.0):
         assert np.array_equal(simulate(replace(cfg, F=F)).wins, wins)
 
@@ -457,12 +490,12 @@ def test_full_stake_drift_has_no_finite_theory():
     # at p = 1 no path is ruined and U(1, 1) = log 2 is the drift, with no
     # spread to state a z-score against
     cfg = SimConfig(w0=1.0, p=0.99, F=1.0, N=5, paths=1000, seed=1)
-    chk = log_drift_check(cfg, win_counts(cfg))
+    chk = log_drift_check(cfg, simulate(cfg, checkpoints=()).wins)
     assert math.isnan(chk.theory) and math.isnan(chk.z_score)
     assert chk.empirical_drift == math.log(2.0) and chk.se == 0.0
     assert chk.excluded_ruined > 0
     sure = SimConfig(w0=1.0, p=1.0, F=1.0, N=5, paths=100, seed=1)
-    chk = log_drift_check(sure, win_counts(sure))
+    chk = log_drift_check(sure, simulate(sure, checkpoints=()).wins)
     assert chk.theory == chk.empirical_drift == math.log(2.0)
     assert chk.se == 0.0 and math.isnan(chk.z_score) and chk.excluded_ruined == 0
 

@@ -137,6 +137,24 @@ def test_f_star_error_cases():
         f_star(0.999)
 
 
+@pytest.mark.parametrize("p", [0.95, 0.965, 0.97, 0.98])
+def test_f_star_near_one_is_the_best_float(p):
+    # U moves by more than the root tolerance between adjacent floats here,
+    # and at p = 0.98 the root lies above 1 - 1e-12: the root is the float
+    # with the smallest |U| where U changes sign
+    root = f_star(p)
+    below, above = math.nextafter(root, 0.0), math.nextafter(root, 1.0)
+    assert kelly_fraction(p) < root < 1.0
+    assert utility(below, p) > 0.0 > utility(above, p) or abs(utility(root, p)) <= 1e-12
+    assert abs(utility(root, p)) <= min(abs(utility(below, p)), abs(utility(above, p)))
+
+
+def test_f_star_keeps_roots_within_tolerance():
+    # a root that meets |U| <= 1e-12 is still returned first, as it was
+    # before the bracket could reach past 1 - 1e-12
+    assert f_star(0.975) == 0.999999999998181
+
+
 def test_series_approximation_small_edge():
     series = f_star_approx(0.52)
     fk = kelly_fraction(0.52)
@@ -183,6 +201,21 @@ def test_regime_partition_bundles_all_critical_stakes():
     assert part.f_star == f_star(0.52)
     assert part.f_star_approx == f_star_approx(0.52).approx
     assert part.p == 0.52
+
+
+@pytest.mark.parametrize("p, series_ok, root_ok", [
+    (0.81, False, True),  # F_K^2 >= 3/8: no series estimate
+    (0.985, False, False),  # and 1 - F* is below float64's resolution at 1
+])
+def test_regime_partition_writes_nan_outside_hypotheses(p, series_ok, root_ok):
+    part = regime_partition(p)
+    assert part.f_kelly == kelly_fraction(p)
+    assert math.isnan(part.f_star_approx) != series_ok
+    assert math.isnan(part.epsilon) != series_ok
+    assert math.isnan(part.f_star) != root_ok
+    assert len(part.notes) == (not series_ok) + (not root_ok)
+    if root_ok:
+        assert part.f_star == f_star(p)
 
 
 # ------------------------------------------------------------ dominance

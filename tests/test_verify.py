@@ -1,26 +1,88 @@
 """The claim registry's Monte Carlo rows and the draws they make."""
 
+import math
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
-from kellybench import verify, win_counts
-from kellybench.verify import _CLAIMS, SCALES, _evaluate
+from kellybench import (
+    SimConfig,
+    doob_bound,
+    doob_decompose,
+    empirical_sup_prob,
+    f_star,
+    kelly_fraction,
+    log_drift_check,
+    simulate,
+    verify,
+)
+from kellybench.verify import _CLAIMS, SCALES, Run, _evaluate
+
+SHARED_ROWS = ("drift-trichotomy", "doob-maximal-inequality", "martingale-flatness")
+
+
+def claim(claim_id):
+    return next(c for c in _CLAIMS if c.claim_id == claim_id)
 
 
 @pytest.mark.parametrize("claim_id", ["drift-trichotomy", "ruin-law"])
 def test_win_count_rows_draw_no_wealth(monkeypatch, claim_id):
-    # these rows read win counts only: one draw each, and no wealth kernel
-    def no_wealth(config):
-        raise AssertionError("the wealth kernel ran")
-
+    # ruin-law makes one count-only draw of its own; drift-trichotomy reads
+    # the run's shared batch, drawn once for it and the Doob and flatness rows
     draws = []
 
-    def recording_win_counts(config):
-        draws.append(config)
-        return win_counts(config)
+    def recording_simulate(config, checkpoints=None):
+        draws.append((config, checkpoints))
+        return simulate(config, checkpoints=checkpoints)
 
-    monkeypatch.setattr(verify, "simulate", no_wealth)
-    monkeypatch.setattr(verify, "win_counts", recording_win_counts)
-    claim = next(c for c in _CLAIMS if c.claim_id == claim_id)
-    result = _evaluate(claim, SCALES["quick"], 1)
-    assert result.verdict == claim.expected
+    monkeypatch.setattr(verify, "simulate", recording_simulate)
+    run = Run(SCALES["quick"], 1)
+    result = _evaluate(claim(claim_id), run)
+    assert result.verdict == claim(claim_id).expected
     assert len(draws) == 1
+    if claim_id == "ruin-law":
+        assert draws[0][1] == ()
+    else:
+        assert draws[0][1] == verify._SHARED_CHECKPOINTS
+        for other in SHARED_ROWS:
+            _evaluate(claim(other), run)
+        assert len(draws) == 1
+
+
+def own_rows(scale, seed):
+    """The three shared rows, each computed from its own batch of its own config."""
+    p, paths = 0.52, scale.paths
+    base = SimConfig(w0=1.0, p=p, F=kelly_fraction(p), N=scale.N, paths=paths, seed=seed)
+    wins = simulate(base, checkpoints=()).wins
+    zs, signs_ok = [], True
+    for F, want in ((kelly_fraction(p), 1), (f_star(p), 0), (0.2, -1)):
+        chk = log_drift_check(replace(base, F=F), wins)
+        zs.append(abs(chk.z_score))
+        if want:
+            signs_ok &= want * chk.empirical_drift > 3 * chk.se
+    drift = ("z within 3", max(zs), 0.0, signs_ok and max(zs) <= 3.0)
+
+    cfg = SimConfig(w0=1.0, p=p, F=0.04, N=200, paths=paths, seed=seed)
+    batch = simulate(cfg)
+    worst = max(empirical_sup_prob(batch, lam) - doob_bound(1.0, p, 0.04, 200, lam)
+                for lam in np.linspace(1.01, 2.0, 20))
+    doob = ("<= 0", worst, 0.0, worst <= 0.0)
+
+    dec = doob_decompose(simulate(replace(cfg, N=100)))
+    worst = 0.0
+    for col in dec.martingale_part.T:
+        se = float(np.std(col, ddof=1) / math.sqrt(col.size))
+        worst = max(worst, abs(float(np.mean(col)) - 1.0) / se)
+    flat = ("z within 3", worst, 0.0, worst <= 3.0)
+    return dict(zip(SHARED_ROWS, (drift, doob, flat)))
+
+
+def test_shared_rows_equal_their_own_draws():
+    # seed 7 is pinned nowhere else: each row read from the shared batch is
+    # the row its own batch gives, to the byte
+    run = Run(SCALES["quick"], 7)
+    for claim_id, (paper, oracle, gap, holds) in own_rows(SCALES["quick"], 7).items():
+        r = _evaluate(claim(claim_id), run)
+        assert (r.paper_value, r.oracle_value, r.rel_gap, r.verdict) == (
+            paper, oracle, gap, "match" if holds else "mismatch"), claim_id
