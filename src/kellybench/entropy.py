@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceGuardError
-from .bernoulli_core import ENUMERATION_GUARD, BinomialSpec, log_pmf_array, pmf_array
+from .errors import DomainError
+from .bernoulli_core import BinomialSpec, log_pmf_array, pmf_array
 
 
 @dataclass(frozen=True)
@@ -44,26 +44,19 @@ def binomial_entropy_forms(spec: BinomialSpec) -> tuple[float, float]:
     algebraically identical; both are returned so the agreement can be
     asserted externally.
     """
-    if spec.N + 1 > ENUMERATION_GUARD:
-        raise ResourceGuardError(
-            f"entropy enumeration over {spec.N + 1} terms exceeds guard"
-        )
-    from scipy.special import gammaln  # local: scipy (~0.8 s) loads only for the oracles
-
     N, s = spec.N, spec.p
-    logp = log_pmf_array(spec)
-    probs = pmf_array(spec)
-    mask = probs > 0.0
-    direct = -float(np.dot(probs[mask], logp[mask]))
+    probs, logp = pmf_array(spec), log_pmf_array(spec)
+    direct = -math.fsum(probs[probs > 0.0] * logp[probs > 0.0])
 
-    alpha = np.arange(N + 1, dtype=float)
-    log_comb = gammaln(N + 1) - gammaln(alpha + 1) - gammaln(N - alpha + 1)
-    expanded = -float(np.dot(probs, log_comb))
+    alpha = np.arange(N + 1)
+    log_comb = [math.lgamma(N + 1) - math.lgamma(a + 1) - math.lgamma(N - a + 1)
+                for a in range(N + 1)]
+    expanded = -math.fsum(probs * log_comb)
     # skipped terms carry zero mass: 0 * log(0) := 0
     if s > 0.0:
-        expanded -= float(np.dot(probs, alpha)) * math.log(s)
+        expanded -= math.fsum(probs * alpha) * math.log(s)
     if s < 1.0:
-        expanded -= float(np.dot(probs, N - alpha)) * math.log1p(-s)
+        expanded -= math.fsum(probs * (N - alpha)) * math.log1p(-s)
     return direct, expanded
 
 

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli_core import _LOG_FLOAT_MAX, _LOG_FLOAT_TINY
+from .bernoulli_core import _LOG_FLOAT_MAX, _LOG_FLOAT_TINY, BinomialSpec, pmf_array
 from .errors import ApproximationDomainError, DomainError, KellyBenchError, ResourceGuardError
 from .utility_kelly import _check_fp, utility
 
@@ -447,17 +447,23 @@ def expected_wealth_exponential(w0: float, p: float, F: float, N: int) -> float:
     return w0 * math.exp(N * F * (2.0 * p - 1.0))
 
 
+def _enumerated_wealth(w0: float, p: float, F: float, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """P(U = k) and W(N) = w0 (1+F)^k (1-F)^(N-k) for k = 0..N, the terms of
+    the enumeration oracles; ResourceGuardError where a W(N) leaves float64."""
+    probs = pmf_array(BinomialSpec(N=N, p=p))
+    alpha = np.arange(N + 1.0)
+    try:
+        with np.errstate(over="raise"):
+            return probs, w0 * (1.0 + F) ** alpha * (1.0 - F) ** (N - alpha)
+    except FloatingPointError:
+        raise ResourceGuardError(f"enumerated wealth overflows float64 at N={N}, F={F!r}") from None
+
+
 def expected_wealth_enumeration(w0: float, p: float, F: float, N: int) -> float:
     """Exact E[W(N)] by summation over the binomial win count; the oracle."""
-    from .bernoulli_core import ENUMERATION_GUARD, BinomialSpec, pmf_array
-
     _check_game(w0, p, F, N)
-    if N + 1 > ENUMERATION_GUARD:
-        raise ResourceGuardError(f"enumeration over {N + 1} terms exceeds guard")
-    probs = pmf_array(BinomialSpec(N=N, p=p))
-    alpha = np.arange(N + 1, dtype=float)
-    w = w0 * (1.0 + F) ** alpha * (1.0 - F) ** (N - alpha)
-    return float(np.dot(probs, w))
+    probs, w = _enumerated_wealth(w0, p, F, N)
+    return math.fsum(probs * w)
 
 
 def log_drift_check(config: SimConfig, wins: np.ndarray) -> DriftCheck:

@@ -1,9 +1,11 @@
-"""Linearized wealth approximations, variance estimates, fractional staking.
+"""Wealth series, the variance of wealth, and the fractional-Kelly trade-off.
 
 The published variance estimate inherits the independent-counts assumption
-(net-win variance 2Np(1-p)); the enumeration oracle here makes no such
-assumption. Both numbers are always reported side by side, with their
-ratio, instead of arbitrating between them.
+(net-win variance 2Np(1-p)); the exact variance makes no such assumption.
+`log_variance` is its closed form, and `variance_report` sums it over the
+exact binomial PMF as the independent oracle. The estimate and the oracle
+are always reported side by side, with their ratio, instead of
+arbitrating between them.
 """
 
 from __future__ import annotations
@@ -14,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApproximationDomainError, DomainError, ResourceGuardError
-from .bernoulli_core import (_LOG_FLOAT_MAX, _LOG_FLOAT_TINY, BinomialSpec, TrialCounts,
-                             log_pmf_array)
-from .martingale_lab import _check_game, expected_wealth_linear
+from .bernoulli_core import _LOG_FLOAT_MAX, _LOG_FLOAT_TINY, TrialCounts
+from .martingale_lab import _check_game, _enumerated_wealth, expected_wealth_linear
 from .utility_kelly import kelly_fraction, utility
 
 # enumeration oracle cap for the variance report
@@ -67,23 +68,6 @@ def wealth_approx(w0: float, F: float, counts: TrialCounts, order: int = 2) -> f
     return w0 * value
 
 
-def _log_wealth_moments(w0: float, N: int, p: float, F: float) -> tuple[float, float]:
-    """(log E[W], log E[W^2]) under Binomial(N, p), in log-space."""
-    from scipy.special import logsumexp  # local: scipy (~0.8 s) loads only for the oracles
-
-    spec = BinomialSpec(N=N, p=p)
-    logp = log_pmf_array(spec)
-    alpha = np.arange(N + 1, dtype=float)
-    if F == 1.0:
-        # all-loss factor is 0: only the all-win term survives in W > 0
-        log_w = np.where(alpha == N, math.log(w0) + N * math.log(2.0), -np.inf)
-    else:
-        log_w = math.log(w0) + alpha * math.log1p(F) + (N - alpha) * math.log1p(-F)
-    m1 = float(logsumexp(logp + log_w))
-    m2 = float(logsumexp(logp + 2.0 * log_w))
-    return m1, m2
-
-
 def log_variance(w0: float, p: float, F: float, N: int) -> float:
     """log Var[W(N)] = log(w0^2 (m^N - g^(2N))) in closed form; -inf where
     Var[W(N)] = 0, i.e. F = 0 or p is 0 or 1.
@@ -111,24 +95,31 @@ def _check_variance_fits(w0: float, p: float, F: float, N: int) -> None:
         raise ResourceGuardError(f"variance of wealth overflows float64 at N={N}, F={F!r}")
 
 
-def _paper_variance(w0: float, N: int, p: float, F: float) -> float:
+def _paper_variance(w0: float, p: float, F: float, N: int) -> float:
     """The published first-order estimate 2 w0^2 N p(1-p) F^2 of Var[W(N)]."""
     # w0^2 multiplies last so the estimate scales exactly with initial wealth
     return 2.0 * N * p * (1.0 - p) * F * F * (w0 * w0)
 
 
-def variance_report(w0: float, N: int, p: float, F: float) -> VarianceReport:
-    """Published variance estimate with the exact enumeration alongside."""
+def variance_report(w0: float, p: float, F: float, N: int) -> VarianceReport:
+    """Published variance estimate next to the two-pass enumeration of
+    P(U = k) (W_k - E[W])^2, over wealth scaled by a power of two so that no
+    square overflows; ResourceGuardError where Var or a W_k leaves float64."""
     _check_game(w0, p, F, N)
-    paper_estimate = _paper_variance(w0, N, p, F)
-    if N + 1 > VARIANCE_ORACLE_GUARD + 1:
+    paper_estimate = _paper_variance(w0, p, F, N)
+    if N > VARIANCE_ORACLE_GUARD:
         return VarianceReport(paper_estimate=paper_estimate, oracle_exact=None, ratio=None)
     if F == 0.0 or p in (0.0, 1.0):
         oracle = 0.0
     else:
-        m1, m2 = _log_wealth_moments(w0, N, p, F)
-        # Var = E[W^2] - E[W]^2 = E[W]^2 * expm1(log E[W^2] - 2 log E[W])
-        oracle = math.exp(2.0 * m1) * math.expm1(m2 - 2.0 * m1)
+        probs, w = _enumerated_wealth(w0, p, F, N)
+        scale = math.frexp(w.max())[1]
+        x = np.ldexp(w, -scale)
+        mean = math.fsum(probs * x)
+        try:
+            oracle = math.ldexp(math.fsum(probs * (x - mean) ** 2), 2 * scale)
+        except OverflowError:
+            raise ResourceGuardError(f"variance overflows float64 at N={N}, F={F!r}") from None
     ratio = oracle / paper_estimate if paper_estimate > 0.0 else None
     return VarianceReport(paper_estimate=paper_estimate, oracle_exact=oracle, ratio=ratio)
 
@@ -150,7 +141,7 @@ def tradeoff_table(
             F=F,
             expected_wealth=expected_wealth_linear(w0, p, F, N),
             # the published estimate's square root, which needs no oracle
-            volatility=math.sqrt(_paper_variance(w0, N, p, F)),
+            volatility=math.sqrt(_paper_variance(w0, p, F, N)),
             utility=utility(F, p),
         ))
     return rows

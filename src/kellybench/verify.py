@@ -136,8 +136,7 @@ def _close(paper: float, oracle: float, tol: float) -> tuple:
 
 def _claim_count_moments(run: Run) -> tuple:
     spec = BinomialSpec(N=20, p=0.52)
-    mean, mean_sq, _ = _enumerated_count_moments(spec.N, spec.p)
-    var = mean_sq - mean * mean
+    mean, var, _ = _enumerated_count_moments(spec.N, spec.p)
     m = moments(spec)
     gap = max(_rel(m.mean, mean), _rel(m.variance, var))
     return (f"mean={m.mean:.6g},var={m.variance:.6g}", f"mean={mean:.6g},var={var:.6g}",
@@ -324,7 +323,7 @@ def _claim_wealth_approx(run: Run) -> tuple:
 
 
 def _claim_variance_estimate(run: Run) -> tuple:
-    rep = variance_report(1000.0, 100, 0.52, 0.04)
+    rep = variance_report(1000.0, 0.52, 0.04, 100)
     return _close(rep.paper_estimate, rep.oracle_exact, 1e-3)
 
 

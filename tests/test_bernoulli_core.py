@@ -1,6 +1,7 @@
 """Binomial primitives against exact rational and brute-force oracles."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from kellybench import (
     net_wins_variance,
     pmf_array,
 )
+from kellybench.bernoulli_core import log_pmf_array
 
 
 def exact_pmf(N: int, p: Fraction, alpha: int) -> Fraction:
@@ -54,6 +56,30 @@ def test_pmf_matches_exact_rational_oracle(p_rat):
     for alpha in range(N + 1):
         truth = float(exact_pmf(N, p_rat, alpha))
         assert probs[alpha] == pytest.approx(truth, rel=1e-13)
+
+
+@pytest.mark.parametrize("N", [1, 20, 100])
+def test_pmf_is_the_rounded_exact_rational(N):
+    # each term is the float64 of its exact rational, subnormal tails included
+    subnormal = 0
+    for p in (1e-4, 0.01, 0.3, 0.5, 0.52, 0.6, 0.99, 0.9999):
+        truth = [float(exact_pmf(N, Fraction(p), alpha)) for alpha in range(N + 1)]
+        assert pmf_array(BinomialSpec(N=N, p=p)).tolist() == truth
+        # numpy scalars, which BinomialSpec accepts, give the same terms
+        assert pmf_array(BinomialSpec(N=np.int64(N), p=np.float64(p))).tolist() == truth
+        subnormal += sum(0.0 < t < sys.float_info.min for t in truth)
+    if N == 100:  # p = 1e-4 and 0.9999 reach below the normal range
+        assert subnormal > 0
+
+
+def test_log_pmf_stays_finite_where_the_pmf_underflows():
+    spec = BinomialSpec(N=2000, p=0.5)
+    assert pmf_array(spec)[0] == 0.0
+    logs = log_pmf_array(spec)
+    assert logs[0] == pytest.approx(-2000 * math.log(2.0), rel=1e-15)
+    for alpha in (1, 700, 1000):
+        exact = math.log(math.comb(2000, alpha)) - 2000 * math.log(2.0)
+        assert logs[alpha] == pytest.approx(exact, rel=1e-14)
 
 
 def test_pmf_single_trial_is_exact():

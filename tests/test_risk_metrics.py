@@ -13,6 +13,7 @@ from kellybench import (
     ResourceGuardError,
     SimConfig,
     TrialCounts,
+    expected_wealth_enumeration,
     expected_wealth_linear,
     kelly_fraction,
     simulate,
@@ -92,14 +93,15 @@ def test_order_two_error_actually_decays_quadratically():
 
 
 def test_variance_report_fields():
-    rep = variance_report(1000.0, 100, 0.52, 0.04)
+    rep = variance_report(1000.0, 0.52, 0.04, 100)
     pq = 0.52 * 0.48
     assert rep.paper_estimate == pytest.approx(2.0 * 1000.0**2 * 100 * pq * 0.04**2, rel=1e-15)
     assert rep.oracle_exact is not None and rep.oracle_exact > 0.0
     assert rep.ratio == pytest.approx(rep.oracle_exact / rep.paper_estimate, rel=1e-12)
 
 
-@pytest.mark.parametrize("p, F", [(0.3, 0.2), (0.52, 0.04), (0.6, 0.5), (0.9, 0.02), (0.52, 1.0)])
+@pytest.mark.parametrize("p, F", [(0.3, 0.2), (0.52, 0.04), (0.6, 0.5), (0.9, 0.02), (0.52, 1.0),
+                                  (0.52, 1e-4)])
 @pytest.mark.parametrize("N", [1, 5, 12])
 def test_wealth_moments_match_exact_rational_enumeration(p, F, N):
     # E[W(N)] and Var[W(N)] summed exactly over the win count, in rationals
@@ -112,8 +114,9 @@ def test_wealth_moments_match_exact_rational_enumeration(p, F, N):
     mean = sum(prob * w for prob, w in terms)
     var = sum(prob * w * w for prob, w in terms) - mean * mean
     assert expected_wealth_linear(1000.0, p, F, N) == pytest.approx(float(mean), rel=1e-14)
-    # the oracle takes expm1 of a difference of log-moments: ~1e-11 relative at worst
-    rep = variance_report(1000.0, N, p, F)
+    # the oracle sums squared deviations from the mean, so a small stake, whose
+    # variance is ~4pqF^2 N of E[W]^2, costs no more than ~1e-12 relative
+    rep = variance_report(1000.0, p, F, N)
     assert rep.oracle_exact == pytest.approx(float(var), rel=1e-10)
     assert log_variance(1000.0, p, F, N) == pytest.approx(math.log(var), rel=1e-13)
 
@@ -146,34 +149,54 @@ def test_variance_guard_at_the_float_limit():
 
 
 def test_variance_vanishes_without_randomness_or_stake():
-    assert variance_report(1000.0, 50, 0.52, 0.0).oracle_exact == 0.0
-    assert variance_report(1000.0, 50, 1.0, 0.3).oracle_exact == 0.0
+    assert variance_report(1000.0, 0.52, 0.0, 50).oracle_exact == 0.0
+    assert variance_report(1000.0, 1.0, 0.3, 50).oracle_exact == 0.0
+
+
+@pytest.mark.parametrize("oracle, game", [
+    (variance_report, (1000.0, 0.52, 1.0, 1000)),  # Var[W(N)] ~ e^746
+    (variance_report, (1000.0, 0.52, 1.0, 5000)),  # W(N) = w0 2^5000
+    (variance_report, (1000.0, 0.9, 0.8, 5000)),
+    (variance_report, (1e300, 0.52, 0.5, 10)),  # w0^2 alone leaves float64
+    (expected_wealth_enumeration, (1.0, 0.52, 1.0, 2000)),  # W(N) = 2^2000
+])
+def test_enumeration_oracles_raise_where_float64_is_left(oracle, game):
+    with pytest.raises(ResourceGuardError):
+        oracle(*game)
+
+
+def test_variance_oracle_returns_up_to_the_float_limit():
+    # log Var[W(N)] at p = 0.52, F = 1 is 673 at N = 900: the largest W(N)
+    # squared leaves float64, the scaled two-pass sum does not
+    rep = variance_report(1000.0, 0.52, 1.0, 900)
+    assert rep.oracle_exact == pytest.approx(math.exp(log_variance(1000.0, 0.52, 1.0, 900)),
+                                             rel=1e-12)
 
 
 def test_variance_oracle_suppressed_beyond_guard():
-    rep = variance_report(1000.0, 50_000, 0.52, 0.04)
+    rep = variance_report(1000.0, 0.52, 0.04, 50_000)
     assert rep.oracle_exact is None and rep.ratio is None
     assert rep.paper_estimate > 0.0
 
 
 def test_variance_homogeneity_in_initial_wealth():
-    a = variance_report(1.0, 100, 0.52, 0.04)
-    b = variance_report(7.0, 100, 0.52, 0.04)
+    a = variance_report(1.0, 0.52, 0.04, 100)
+    b = variance_report(7.0, 0.52, 0.04, 100)
     assert b.paper_estimate == 49.0 * a.paper_estimate
     assert b.oracle_exact == pytest.approx(49.0 * a.oracle_exact, rel=1e-12)
 
 
 def test_volatility_is_square_root_of_variance():
     row = tradeoff_table(0.52, [0.5], 100, 1000.0)[0]
-    assert row.volatility == math.sqrt(variance_report(1000.0, 100, 0.52, row.F).paper_estimate)
+    assert row.volatility == math.sqrt(variance_report(1000.0, 0.52, row.F, 100).paper_estimate)
     frac = tradeoff_table(0.52, [2.0 / 3.0], 1000, 1000.0)[0]
-    rep = variance_report(1000.0, 1000, 0.52, frac.F)
+    rep = variance_report(1000.0, 0.52, frac.F, 1000)
     assert frac.volatility == math.sqrt(rep.paper_estimate)
 
 
 def test_variance_oracle_matches_monte_carlo():
     N, p, F, paths = 50, 0.52, 0.04, 40_000
-    rep = variance_report(1000.0, N, p, F)
+    rep = variance_report(1000.0, p, F, N)
     batch = simulate(SimConfig(w0=1000.0, p=p, F=F, N=N, paths=paths, seed=21))
     w = batch.checkpoint_wealth[:, -1]
     sample_var = float(np.var(w, ddof=1))

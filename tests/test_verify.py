@@ -1,7 +1,9 @@
-"""The claim registry's Monte Carlo rows and the draws they make."""
+"""The claim registry's rows: the draws of its Monte Carlo rows and the
+accuracy of its enumeration oracles."""
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -86,3 +88,30 @@ def test_shared_rows_equal_their_own_draws():
         r = _evaluate(claim(claim_id), run)
         assert (r.paper_value, r.oracle_value, r.rel_gap, r.verdict) == (
             paper, oracle, gap, "match" if holds else "mismatch"), claim_id
+
+
+def rational_moments(N, p, f):
+    """Mean and variance of f(U), U ~ Binomial(N, p), in the exact rationals of
+    the float inputs."""
+    pr = Fraction(p)
+    probs = [math.comb(N, k) * pr**k * (1 - pr) ** (N - k) for k in range(N + 1)]
+    values = [f(k) for k in range(N + 1)]
+    mean = sum(P * x for P, x in zip(probs, values))
+    return mean, sum(P * x * x for P, x in zip(probs, values)) - mean * mean
+
+
+def wealth(w0, F, N):
+    return lambda k: Fraction(w0) * (1 + Fraction(F)) ** k * (1 - Fraction(F)) ** (N - k)
+
+
+@pytest.mark.parametrize("claim_id, exact", [
+    ("count-covariance", lambda: -rational_moments(10, 0.52, Fraction)[1]),  # COV(U, N-U)
+    ("net-wins-variance", lambda: rational_moments(10, 0.52, lambda k: 2 * k - 10)[1]),
+    ("expected-wealth-linear", lambda: rational_moments(20, 0.52, wealth(1000.0, 0.04, 20))[0]),
+    ("expected-wealth-product", lambda: rational_moments(20, 0.52, wealth(1000.0, 0.2, 20))[0]),
+    ("variance-estimate", lambda: rational_moments(100, 0.52, wealth(1000.0, 0.04, 100))[1]),
+])
+def test_enumeration_oracles_agree_with_rational_enumeration(claim_id, exact):
+    oracle = _evaluate(claim(claim_id), Run(SCALES["quick"], 1)).oracle_value
+    truth = exact()
+    assert abs(Fraction(oracle) - truth) <= Fraction(1e-14) * abs(truth)
