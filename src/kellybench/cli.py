@@ -57,10 +57,10 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _csv_text(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="ascii", newline="")
+    return "\n".join(lines) + "\n"
 
 
 def _out_dir(args) -> Path:
@@ -305,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    written = []
     try:
         if args.config:
             # file values become parser defaults, so explicit flags win by
@@ -314,14 +315,19 @@ def main(argv: list[str] | None = None) -> int:
         code, tables = args.fn(args, parser)
         # created only once the command returned: a failed command leaves no partial set
         out = _out_dir(args)
+        for name, header, rows in tables:
+            text = _csv_text(header, rows)
+            with open(out / name, "w", encoding="ascii", newline="") as f:
+                written.append(f.name)
+                f.write(text)
     except NoEdgeError as exc:
         print(f"no-edge: {exc}", file=sys.stderr)
         return 2
-    except KellyBenchError as exc:
+    except (KellyBenchError, OSError) as exc:  # OSError: a CSV that cannot be written
+        for path in written:  # a failed write leaves no partial set either
+            os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    for name, header, rows in tables:
-        _write_csv(out / name, header, rows)
     return code
 
 

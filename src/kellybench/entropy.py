@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .bernoulli_core import BinomialSpec, log_pmf_array, pmf_array
+from .utility_kelly import _check_p, kelly_fraction, utility
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,7 @@ def _xlogx(x: float) -> float:
 
 def shannon(p: float) -> float:
     """Single-trial entropy -p log p - (1-p) log(1-p), in nats."""
-    if not (0.0 <= p <= 1.0) or math.isnan(p):
-        raise DomainError(f"probability {p!r} outside [0, 1]")
+    _check_p(p)
     return -_xlogx(p) - _xlogx(1.0 - p)
 
 
@@ -64,8 +64,6 @@ def utility_entropy_identity(p: float) -> IdentityCheck:
     """Growth at the Kelly stake versus log(2) - H(p); both sides reported."""
     if not (0.5 <= p <= 1.0):
         raise DomainError(f"identity requires p in [1/2, 1], got {p!r}")
-    from .utility_kelly import kelly_fraction, utility
-
     lhs = utility(kelly_fraction(p), p)
     rhs = math.log(2.0) - shannon(p)
     return IdentityCheck(lhs=lhs, rhs=rhs)

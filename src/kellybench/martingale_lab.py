@@ -18,15 +18,15 @@ Full paths are never kept: a check needs only the win counts over all N
 steps and, at each checkpoint I, W(I) and max W(0..I). The checkpoints are
 the quarters of the horizon unless the caller names others.
 
-There is one sampler and one reader. `_draw` seeds, writes and draws a
-chunk's paths, tile by tile, and counts their wins. `simulate` writes each
-tile's wealth over its draws up to the last checkpoint, and past it only
-counts wins. With no checkpoints it draws no wealth at all: the win counts
-are all that the log drift and the full-stake ruin law depend on. Since
-cumprod and the running max are sequential along a path, W(I) and max
-W(0..I) at a checkpoint do not depend on N or on the other checkpoints,
-and the draw never reads F; so one batch serves every check on a prefix of
-its horizon, at every stake.
+The kernel is two functions. `simulate` checks the call and cuts the batch
+into chunks; `_simulate_chunk` seeds, writes and draws a chunk's paths tile
+by tile, counts their wins, and writes each tile's wealth over its draws up
+to the last checkpoint, past which it only counts wins. With no checkpoints
+it draws no wealth at all: the win counts are all that the log drift and
+the full-stake ruin law depend on. Since cumprod and the running max are
+sequential along a path, W(I) and max W(0..I) at a checkpoint do not depend
+on N or on the other checkpoints, and the draw never reads F; so one batch
+serves every check on a prefix of its horizon, at every stake.
 
 A chunk's working set is fixed in bytes, not in paths: its draws are
 overwritten by the step factors and then by the wealth, so a path-step
@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import ctypes
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,35 +276,19 @@ def _pcg64_words(bit_gen: np.random.PCG64) -> tuple[np.ndarray, tuple[int, ...]]
     )
 
 
-def _chunks(config: SimConfig) -> Iterator[tuple[int, int, int]]:
-    """The (start, stop, tile) of each chunk of the batch, in path order.
+def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) -> None:
+    """Simulate paths [start, stop) into their rows of the batch, `tile`
+    steps at a time; a chunk cut into more than one tile is one path.
 
-    The guard on paths * N runs on the call, before any chunk is drawn.
+    Each tile's draws are counted into the chunk's win counts over all N
+    steps, then overwritten by the wealth up to the last checkpoint; the
+    tiles past it only count wins. The draw never reads F.
     """
-    if config.paths * config.N > MAX_TOTAL_STEPS:
-        raise ResourceGuardError(
-            f"{config.paths} paths x {config.N} steps exceeds {MAX_TOTAL_STEPS}"
-        )
-    # the horizon is one tile unless one path's draws exceed the budget
-    tile = min(config.N, _CHUNK_BYTES // 8)
-    # a path's draws and outcomes, plus under 0.5 kB for its seed state: the
-    # build peaks at about 160 B whatever the seed's size, and the draw
-    # holds 32 B
-    chunk = max(1, _CHUNK_BYTES // (9 * tile + 512))
-    return ((start, min(start + chunk, config.paths), tile)
-            for start in range(0, config.paths, chunk))
-
-
-def _draw(config: SimConfig, start: int, stop: int, tile: int,
-          wins: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Draw paths [start, stop) `tile` steps at a time; a chunk cut into
-    more than one tile is one path.
-
-    Each tile's win counts are added to `wins`, the chunk's rows of a
-    zeroed count array. Yields (t0, u, won) per tile: the uniforms of steps
-    t0+1 .. t0+width and their outcomes u < p, in buffers that the next
-    tile reuses, so the caller may overwrite u. The draw never reads F.
-    """
+    config = batch.config
+    cps = np.asarray(batch.checkpoints, dtype=np.int64)
+    last = batch.checkpoints[-1] if batch.checkpoints else 0
+    rows = slice(start, stop)
+    wins = batch.wins[rows]
     # one native generator, moved to each path's substream by writing its
     # state words, through a view that lives no longer than the generator
     bit_gen = np.random.PCG64()
@@ -315,6 +298,9 @@ def _draw(config: SimConfig, start: int, stop: int, tile: int,
     # the working set; a shorter last tile uses the front of each buffer
     u = np.empty((stop - start, tile))
     win = np.empty(u.shape, dtype=bool)
+    # carried from tile to tile: W and max W(0..I) where the tile starts
+    # (neither is written in place, so both start as one array)
+    wealth = top = np.full(stop - start, config.w0)
     for t0 in range(0, config.N, tile):
         width = min(tile, config.N - t0)
         x, won = u[:, :width], win[:, :width]
@@ -326,32 +312,16 @@ def _draw(config: SimConfig, start: int, stop: int, tile: int,
             gen.random(out=x[0])
         np.less(x, config.p, out=won)
         wins += won.sum(axis=1)
-        yield t0, x, won
-
-
-def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) -> None:
-    """Simulate paths [start, stop) into their rows of the batch, `tile`
-    steps at a time, writing each tile's wealth over its draws up to the
-    last checkpoint; the tiles past it only count wins."""
-    config = batch.config
-    F = config.F
-    cps = np.asarray(batch.checkpoints, dtype=np.int64)
-    last = batch.checkpoints[-1] if batch.checkpoints else 0
-    rows = slice(start, stop)
-    # carried from tile to tile: W and max W(0..I) where the tile starts
-    wealth = np.full(stop - start, config.w0)
-    top = wealth.copy()
-    for t0, x, won in _draw(config, start, stop, tile, batch.wins[rows]):
         if t0 >= last:
             continue
         # no wealth past the last checkpoint: a prefix of the draws is its own
         # recursion, so the columns written are those of the whole horizon
-        width = min(x.shape[1], last - t0)
+        width = min(width, last - t0)
         x, won = x[:, :width], won[:, :width]
         # the factor 1 + F Z(I) is exactly 1.0 + F on a win and 1.0 - F on a
         # loss; it is written over the spent draws
-        np.copyto(x, 1.0 - F)
-        np.copyto(x, 1.0 + F, where=won)
+        np.copyto(x, 1.0 - config.F)
+        np.copyto(x, 1.0 + config.F, where=won)
         # fold the carried wealth (w0 on the first tile) into the first step so
         # cumprod performs the literal recursion W(I) = W(I-1) * (1 + F Z(I))
         # with one rounding per step
@@ -389,7 +359,16 @@ def simulate(config: SimConfig, checkpoints: tuple[int, ...] | None = None) -> T
             a >= b for a, b in zip(checkpoints, checkpoints[1:])):
         raise DomainError(
             f"checkpoints {checkpoints!r} must increase within [1, {config.N}]")
-    chunks = _chunks(config)
+    if config.paths * config.N > MAX_TOTAL_STEPS:
+        raise ResourceGuardError(
+            f"{config.paths} paths x {config.N} steps exceeds {MAX_TOTAL_STEPS}"
+        )
+    # the horizon is one tile unless one path's draws exceed the budget
+    tile = min(config.N, _CHUNK_BYTES // 8)
+    # a path's draws and outcomes, plus under 0.5 kB for its seed state: the
+    # build peaks at about 160 B whatever the seed's size, and the draw
+    # holds 32 B
+    chunk = max(1, _CHUNK_BYTES // (9 * tile + 512))
     shape = (config.paths, len(checkpoints))
     batch = TrajectoryBatch(
         config=config,
@@ -398,8 +377,8 @@ def simulate(config: SimConfig, checkpoints: tuple[int, ...] | None = None) -> T
         checkpoint_wealth=np.empty(shape),
         checkpoint_running_max=np.empty(shape),
     )
-    for start, stop, tile in chunks:
-        _simulate_chunk(batch, start, stop, tile)
+    for start in range(0, config.paths, chunk):
+        _simulate_chunk(batch, start, min(start + chunk, config.paths), tile)
     return batch
 
 

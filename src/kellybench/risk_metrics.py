@@ -53,8 +53,8 @@ def wealth_approx(w0: float, F: float, counts: TrialCounts, order: int = 2) -> f
     product expansion, so its remainder is O(F^2), not O(F^3); halving F
     cuts the error roughly 4x. See the `wealth-series` verification claim.
     """
-    if not (w0 > 0.0):
-        raise DomainError(f"initial wealth {w0!r} must be positive")
+    if not (0.0 < w0 < math.inf):
+        raise DomainError(f"initial wealth {w0!r} must be positive and finite")
     if not (0.0 <= F <= WEALTH_APPROX_MAX_F):
         raise ApproximationDomainError(
             f"wealth expansion requires 0 <= F <= {WEALTH_APPROX_MAX_F}, got {F!r}"

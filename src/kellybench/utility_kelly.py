@@ -19,6 +19,7 @@ from .errors import (
     DomainError,
     KellyBenchError,
     NoEdgeError,
+    ResourceGuardError,
     SeriesInvalidError,
 )
 
@@ -29,6 +30,9 @@ DELTA = 1e-12
 ROOT_TOL = 1e-12
 
 _MAX_BISECT = 200
+
+# most points of a utility curve; each writes about 41 B of CSV
+MAX_GRID_POINTS = 10**6
 
 NEG_INFINITY = float("-inf")
 
@@ -60,11 +64,15 @@ class RegimePartition:
     notes: tuple[str, ...] = ()
 
 
-def _check_fp(F: float, p: float) -> None:
-    if not (0.0 <= F <= 1.0) or math.isnan(F):
-        raise DomainError(f"stake fraction {F!r} outside [0, 1]")
-    if not (0.0 <= p <= 1.0) or math.isnan(p):
+def _check_p(p: float) -> None:
+    if not (0.0 <= p <= 1.0):
         raise DomainError(f"probability {p!r} outside [0, 1]")
+
+
+def _check_fp(F: float, p: float) -> None:
+    if not (0.0 <= F <= 1.0):
+        raise DomainError(f"stake fraction {F!r} outside [0, 1]")
+    _check_p(p)
 
 
 def utility(F: float, p: float) -> float:
@@ -96,8 +104,7 @@ def utility_derivatives(F: float, p: float) -> Derivatives:
 
 def kelly_fraction(p: float) -> float:
     """The utility-maximising stake p - q = 2p - 1; refuses losing games."""
-    if math.isnan(p) or p > 1.0:
-        raise DomainError(f"probability {p!r} outside [0, 1]")
+    _check_p(p)
     if p < 0.5:
         raise NoEdgeError(
             f"p={p!r} gives no positive edge; the game is not played"
@@ -115,6 +122,7 @@ def f_star(p: float) -> float:
     float to the next, so the bisection may close on two adjacent floats;
     it then returns the one with the smaller |U|, the best root float64 has.
     """
+    _check_p(p)
     if p <= 0.5:
         raise NoEdgeError(f"break-even root requires p > 1/2, got {p!r}")
     if p >= 1.0:
@@ -146,7 +154,8 @@ def f_star(p: float) -> float:
 
 def f_star_approx(p: float) -> SeriesApprox:
     """Series estimate 2 F_K + F_K^3 / (3/8 - F_K^2) of the break-even stake."""
-    if p < 0.5 or p > 1.0:
+    _check_p(p)
+    if p < 0.5:
         raise NoEdgeError(f"series approximation requires p >= 1/2, got {p!r}")
     fk = p - (1.0 - p)
     if fk * fk >= 0.375:
@@ -159,6 +168,8 @@ def f_star_approx(p: float) -> SeriesApprox:
 
 def utility_dominance(F: float, p: float, p_hat: float) -> float:
     """U(F, p) - U(F, p_hat) for p > p_hat > 1/2; strictly positive."""
+    _check_p(p)
+    _check_p(p_hat)
     if not (p > p_hat > 0.5):
         raise DomainError(
             f"dominance requires p > p_hat > 1/2, got p={p!r}, p_hat={p_hat!r}"
@@ -173,7 +184,9 @@ def utility_curve(p: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     the -infinity sentinel."""
     if grid_points < 2:
         raise DomainError(f"grid needs at least 2 points, got {grid_points!r}")
-    _check_fp(0.0, p)
+    if grid_points > MAX_GRID_POINTS:
+        raise ResourceGuardError(f"grid of {grid_points} points exceeds {MAX_GRID_POINTS}")
+    _check_p(p)
     fs = np.linspace(0.0, 1.0, grid_points)
     us = np.array([utility(float(f), p) for f in fs])
     return fs, us

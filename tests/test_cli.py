@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -365,6 +366,32 @@ def test_failed_command_writes_no_csv(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["simulate", *SIM_ARGS], "doob.csv"),  # the second of three CSVs
+    (["verify", "--quick", "--seed", "1"], "errata.csv"),  # exit 1 would read as REGRESSION
+], ids=["simulate", "verify"])
+def test_csv_that_cannot_be_written_leaves_no_csv(tmp_path, capsys, argv, blocked):
+    (tmp_path / blocked).mkdir()
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and blocked in err and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == [blocked]
+    assert (tmp_path / blocked).is_dir()
+
+
+def test_analyze_grid_is_refused_before_it_is_built(tmp_path, capsys):
+    # 10^6 + 1 points would hold 8 MB of F values alone; the guard runs first
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "--p", "0.52", "--grid", "1000001", "--out", str(tmp_path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err.startswith("error: grid of 1000001 points")
+    assert peak < 10**6
+    assert not list(tmp_path.iterdir())
 
 
 # --------------------------------------------------------------- verify

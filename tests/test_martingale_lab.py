@@ -189,7 +189,7 @@ def test_pcg64_states_peak_does_not_grow_with_the_seed():
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
 def test_written_words_are_numpys_state(seed):
-    # the words that _draw writes read back, through NumPy's own state
+    # the words that _simulate_chunk writes read back, through NumPy's own state
     # property, as the state of path k's default_rng
     bit_gen = np.random.PCG64()
     words, layout = martingale_lab._pcg64_words(bit_gen)
@@ -271,15 +271,15 @@ def test_win_counts_equal_simulate_wins(monkeypatch, name, budget, tile, chunk):
     cfg = KERNEL_CONFIGS[name]
     wins = simulate(cfg).wins
     calls = []
-    draw = martingale_lab._draw
+    simulate_chunk = martingale_lab._simulate_chunk
 
-    def recording_draw(config, start, stop, steps, counts):
+    def recording_chunk(batch, start, stop, steps):
         calls.append((stop - start, steps))
-        return draw(config, start, stop, steps, counts)
+        return simulate_chunk(batch, start, stop, steps)
 
     if budget is not None:
         monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
-    monkeypatch.setattr(martingale_lab, "_draw", recording_draw)
+    monkeypatch.setattr(martingale_lab, "_simulate_chunk", recording_chunk)
     counts = simulate(cfg, checkpoints=()).wins
     assert calls == [(chunk, tile)] * (cfg.paths // chunk)
     assert counts.dtype == wins.dtype

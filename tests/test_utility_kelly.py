@@ -12,6 +12,7 @@ from kellybench import (
     DomainError,
     NoEdgeError,
     SeriesInvalidError,
+    TrialCounts,
     f_star,
     f_star_approx,
     kelly_fraction,
@@ -20,6 +21,7 @@ from kellybench import (
     utility_curve,
     utility_derivatives,
     utility_dominance,
+    wealth_approx,
 )
 
 P_GRID = np.linspace(0.501, 0.999, 80)
@@ -177,6 +179,24 @@ def test_series_validity_region():
         f_star_approx(0.81)  # F_K^2 = 0.3844 >= 3/8
     with pytest.raises(NoEdgeError):
         f_star_approx(0.4)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kelly_fraction(-0.5),
+    lambda: f_star(-0.5),
+    lambda: f_star(1.5),
+    lambda: f_star_approx(1.5),
+    lambda: f_star_approx(math.nan),
+    lambda: utility_dominance(0.5, 1.5, 0.6),
+    lambda: wealth_approx(math.inf, 0.05, TrialCounts(U=3, V=2, N=5)),
+], ids=["kelly-negative", "root-negative", "root-above-one", "series-above-one",
+        "series-nan", "dominance-above-one", "expansion-infinite-w0"])
+def test_input_outside_the_domain_is_no_regime_verdict(call):
+    # a p outside [0, 1] (or an infinite w0) is neither a game without edge
+    # nor a deterministic game: it is refused before any regime rule reads it
+    with pytest.raises(DomainError) as info:
+        call()
+    assert not isinstance(info.value, (NoEdgeError, DegenerateGameError))
 
 
 # -------------------------------------------------------- sign structure
