@@ -34,6 +34,12 @@ _BITS = 128
 _LN2 = math.log(2.0)
 
 
+def _check_p(p: float) -> None:
+    """A probability lies in [0, 1]; nan does not."""
+    if not (0.0 <= p <= 1.0):
+        raise DomainError(f"probability {p!r} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class BinomialSpec:
     """N independent trials with per-trial success probability p."""
@@ -44,8 +50,7 @@ class BinomialSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.N, (int, np.integer)) or self.N < 1:
             raise DomainError(f"trial count {self.N!r} must be a positive integer")
-        if not (0.0 <= self.p <= 1.0) or math.isnan(self.p):
-            raise DomainError(f"success probability {self.p!r} outside [0, 1]")
+        _check_p(self.p)
 
 
 @dataclass(frozen=True)

@@ -128,9 +128,6 @@ Table = tuple[str, list[str], list[list]]
 
 def cmd_analyze(args, parser) -> tuple[int, list[Table]]:
     p = args.p
-    if not (0.0 < p < 1.0):
-        parser.error(f"--p must be in (0, 1), got {p}")
-
     fs, us = utility_curve(p, args.grid)
     tables = [("utility_curve.csv", ["F", "U"], [[f, u] for f, u in zip(fs, us)])]
 
@@ -141,7 +138,7 @@ def cmd_analyze(args, parser) -> tuple[int, list[Table]]:
         tables.append((
             "partition.csv",
             ["p", "f_kelly", "f_star", "f_star_approx", "epsilon"],
-            [[part.p, part.f_kelly, part.f_star, part.f_star_approx, part.epsilon]],
+            [[p, part.f_kelly, part.f_star, part.f_star_approx, part.epsilon]],
         ))
     else:
         print("no positive edge: partition omitted", file=sys.stderr)

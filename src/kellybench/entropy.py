@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .bernoulli_core import BinomialSpec, log_pmf_array, pmf_array
-from .utility_kelly import _check_p, kelly_fraction, utility
+from .bernoulli_core import BinomialSpec, _check_p, log_pmf_array, pmf_array
+from .utility_kelly import kelly_fraction, utility
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,8 @@ def _xlogx(x: float) -> float:
 def shannon(p: float) -> float:
     """Single-trial entropy -p log p - (1-p) log(1-p), in nats."""
     _check_p(p)
-    return -_xlogx(p) - _xlogx(1.0 - p)
+    # from 0.0, so a deterministic game has entropy 0.0, not -0.0
+    return 0.0 - _xlogx(p) - _xlogx(1.0 - p)
 
 
 def binomial_entropy_forms(spec: BinomialSpec) -> tuple[float, float]:
@@ -46,12 +46,12 @@ def binomial_entropy_forms(spec: BinomialSpec) -> tuple[float, float]:
     """
     N, s = spec.N, spec.p
     probs, logp = pmf_array(spec), log_pmf_array(spec)
-    direct = -math.fsum(probs[probs > 0.0] * logp[probs > 0.0])
+    direct = 0.0 - math.fsum(probs[probs > 0.0] * logp[probs > 0.0])
 
     alpha = np.arange(N + 1)
     log_comb = [math.lgamma(N + 1) - math.lgamma(a + 1) - math.lgamma(N - a + 1)
                 for a in range(N + 1)]
-    expanded = -math.fsum(probs * log_comb)
+    expanded = 0.0 - math.fsum(probs * log_comb)
     # skipped terms carry zero mass: 0 * log(0) := 0
     if s > 0.0:
         expanded -= math.fsum(probs * alpha) * math.log(s)
@@ -62,8 +62,6 @@ def binomial_entropy_forms(spec: BinomialSpec) -> tuple[float, float]:
 
 def utility_entropy_identity(p: float) -> IdentityCheck:
     """Growth at the Kelly stake versus log(2) - H(p); both sides reported."""
-    if not (0.5 <= p <= 1.0):
-        raise DomainError(f"identity requires p in [1/2, 1], got {p!r}")
     lhs = utility(kelly_fraction(p), p)
     rhs = math.log(2.0) - shannon(p)
     return IdentityCheck(lhs=lhs, rhs=rhs)

@@ -58,6 +58,9 @@ from .utility_kelly import _check_fp, utility
 # hard ceiling on paths * N
 MAX_TOTAL_STEPS = 10**9
 
+# hard ceiling on a batch's arrays: 8 B of wins and 16 B a checkpoint, per path
+MAX_BATCH_BYTES = 1 << 30
+
 # working-set budget of one chunk: 8 B of draws and 1 B of outcomes a path-step
 _CHUNK_BYTES = 4 << 20
 
@@ -166,9 +169,9 @@ class DriftCheck:
 
 @dataclass(frozen=True)
 class DoobDecomposition:
-    """Martingale part M(I) = W(I) * g^(-I) and deterministic drift A(I)."""
+    """Martingale part M(I) = W(I) * g^(-I) and deterministic drift A(I), at
+    the checkpoints of the batch it was taken from."""
 
-    checkpoints: tuple[int, ...]
     martingale_part: np.ndarray  # (paths, len(checkpoints))
     drift: np.ndarray  # (len(checkpoints),)
 
@@ -363,6 +366,10 @@ def simulate(config: SimConfig, checkpoints: tuple[int, ...] | None = None) -> T
         raise ResourceGuardError(
             f"{config.paths} paths x {config.N} steps exceeds {MAX_TOTAL_STEPS}"
         )
+    if config.paths * (8 + 16 * len(checkpoints)) > MAX_BATCH_BYTES:
+        raise ResourceGuardError(
+            f"{config.paths} paths x {len(checkpoints)} checkpoints exceed "
+            f"{MAX_BATCH_BYTES} B of batch arrays")
     # the horizon is one tile unless one path's draws exceed the budget
     tile = min(config.N, _CHUNK_BYTES // 8)
     # a path's draws and outcomes, plus under 0.5 kB for its seed state: the
@@ -537,8 +544,4 @@ def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:
         with np.errstate(divide="ignore"):
             mart = np.exp(np.log(batch.checkpoint_wealth) - log_growth)
         drift = np.exp(math.log(cfg.w0) + log_growth) - cfg.w0
-    return DoobDecomposition(
-        checkpoints=batch.checkpoints,
-        martingale_part=mart,
-        drift=drift,
-    )
+    return DoobDecomposition(martingale_part=mart, drift=drift)

@@ -4,8 +4,7 @@ The published variance estimate inherits the independent-counts assumption
 (net-win variance 2Np(1-p)); the exact variance makes no such assumption.
 `log_variance` is its closed form, and `variance_report` sums it over the
 exact binomial PMF as the independent oracle. The estimate and the oracle
-are always reported side by side, with their ratio, instead of
-arbitrating between them.
+are always reported side by side instead of arbitrating between them.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from .bernoulli_core import _LOG_FLOAT_MAX, _LOG_FLOAT_TINY, TrialCounts
 from .martingale_lab import _check_game, _enumerated_wealth, expected_wealth_linear
 from .utility_kelly import kelly_fraction, utility
 
-# enumeration oracle cap for the variance report
-VARIANCE_ORACLE_GUARD = 10**4
-
 # guard on the stake for the binomial-series wealth expansion
 WEALTH_APPROX_MAX_F = 0.2
 
@@ -32,8 +28,7 @@ class VarianceReport:
     """The published estimate next to the exact enumeration value."""
 
     paper_estimate: float  # 2 w0^2 N p(1-p) F^2
-    oracle_exact: float | None  # exact Var[W(N)], None beyond the guard
-    ratio: float | None  # oracle / paper_estimate
+    oracle_exact: float  # exact Var[W(N)]
 
 
 @dataclass(frozen=True)
@@ -104,11 +99,9 @@ def _paper_variance(w0: float, p: float, F: float, N: int) -> float:
 def variance_report(w0: float, p: float, F: float, N: int) -> VarianceReport:
     """Published variance estimate next to the two-pass enumeration of
     P(U = k) (W_k - E[W])^2, over wealth scaled by a power of two so that no
-    square overflows; ResourceGuardError where Var or a W_k leaves float64."""
+    square overflows; ResourceGuardError where Var or a W_k leaves float64,
+    or where N + 1 terms exceed the core's ENUMERATION_GUARD."""
     _check_game(w0, p, F, N)
-    paper_estimate = _paper_variance(w0, p, F, N)
-    if N > VARIANCE_ORACLE_GUARD:
-        return VarianceReport(paper_estimate=paper_estimate, oracle_exact=None, ratio=None)
     if F == 0.0 or p in (0.0, 1.0):
         oracle = 0.0
     else:
@@ -120,8 +113,7 @@ def variance_report(w0: float, p: float, F: float, N: int) -> VarianceReport:
             oracle = math.ldexp(math.fsum(probs * (x - mean) ** 2), 2 * scale)
         except OverflowError:
             raise ResourceGuardError(f"variance overflows float64 at N={N}, F={F!r}") from None
-    ratio = oracle / paper_estimate if paper_estimate > 0.0 else None
-    return VarianceReport(paper_estimate=paper_estimate, oracle_exact=oracle, ratio=ratio)
+    return VarianceReport(paper_estimate=_paper_variance(w0, p, F, N), oracle_exact=oracle)
 
 
 def tradeoff_table(

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bernoulli_core import _check_p
 from .errors import (
     DegenerateGameError,
     DomainError,
@@ -60,13 +61,7 @@ class RegimePartition:
     f_star: float
     f_star_approx: float
     epsilon: float
-    p: float
     notes: tuple[str, ...] = ()
-
-
-def _check_p(p: float) -> None:
-    if not (0.0 <= p <= 1.0):
-        raise DomainError(f"probability {p!r} outside [0, 1]")
 
 
 def _check_fp(F: float, p: float) -> None:
@@ -154,10 +149,7 @@ def f_star(p: float) -> float:
 
 def f_star_approx(p: float) -> SeriesApprox:
     """Series estimate 2 F_K + F_K^3 / (3/8 - F_K^2) of the break-even stake."""
-    _check_p(p)
-    if p < 0.5:
-        raise NoEdgeError(f"series approximation requires p >= 1/2, got {p!r}")
-    fk = p - (1.0 - p)
+    fk = kelly_fraction(p)
     if fk * fk >= 0.375:
         raise SeriesInvalidError(
             f"F_K={fk!r} outside the series validity region F_K^2 < 3/8"
@@ -169,7 +161,6 @@ def f_star_approx(p: float) -> SeriesApprox:
 def utility_dominance(F: float, p: float, p_hat: float) -> float:
     """U(F, p) - U(F, p_hat) for p > p_hat > 1/2; strictly positive."""
     _check_p(p)
-    _check_p(p_hat)
     if not (p > p_hat > 0.5):
         raise DomainError(
             f"dominance requires p > p_hat > 1/2, got p={p!r}, p_hat={p_hat!r}"
@@ -216,6 +207,5 @@ def regime_partition(p: float) -> RegimePartition:
         f_star=root,
         f_star_approx=series.approx,
         epsilon=series.epsilon,
-        p=p,
         notes=tuple(notes),
     )

@@ -35,6 +35,7 @@ import numpy as np
 
 from . import (
     BinomialSpec,
+    DomainError,
     SimConfig,
     TrajectoryBatch,
     TrialCounts,
@@ -277,11 +278,15 @@ def _claim_ruin_law(run: Run) -> tuple:
 def _claim_doob_inequality(run: Run) -> tuple:
     batch = run.batch
     cfg, N = batch.config, batch.checkpoints[-1]  # the maximum over I <= 200
-    lam_grid = np.linspace(1.01, 2.0, 20)
-    worst = -math.inf
-    for lam in lam_grid:
+    # a bound capped at 1 holds trivially, so only a lambda above E[W(N)] reads it
+    gaps = []
+    for lam in np.linspace(1.01, 2.0, 20):
         bound = doob_bound(cfg.w0, cfg.p, cfg.F, N, lam)
-        worst = max(worst, empirical_sup_prob(batch, lam) - bound)
+        if bound < 1.0:
+            gaps.append(empirical_sup_prob(batch, lam) - bound)
+    if not gaps:
+        raise DomainError(f"no lambda of the grid exceeds E[W({N})]; the bound is 1 on all")
+    worst = max(gaps)
     return "<= 0", worst, 0.0, worst <= 0.0
 
 

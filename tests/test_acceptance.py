@@ -69,7 +69,7 @@ def test_criterion_08_martingale_flatness(full_run):
 def test_criterion_09_variance_reporting():
     N, p, F, paths = 100, 0.52, 0.04, 100_000
     rep = variance_report(1000.0, p, F, N)
-    ok = rep.oracle_exact is not None and rep.ratio is not None
+    ok = rep.oracle_exact > 0.0
     notes = [f"paper {rep.paper_estimate:.6g}, oracle {rep.oracle_exact:.6g}"]
     for seed in (SEED, SEED + 1):
         batch = simulate(SimConfig(w0=1000.0, p=p, F=F, N=N, paths=paths,

@@ -74,6 +74,20 @@ def test_analyze_writes_nan_where_a_hypothesis_fails(tmp_path, capsys, p, nan_co
     assert (tmp_path / "utility_curve.csv").exists() and (tmp_path / "entropy.csv").exists()
 
 
+@pytest.mark.parametrize("p, tables, notes", [
+    ("0", ["entropy.csv", "utility_curve.csv"], ["no positive edge: partition omitted"]),
+    ("1", ["entropy.csv", "partition.csv", "utility_curve.csv"],
+     ["partition: f_star_approx and epsilon are nan", "partition: f_star is nan"]),
+])
+def test_analyze_accepts_the_deterministic_games(tmp_path, capsys, p, tables, notes):
+    assert main(["analyze", "--p", p, "--grid", "3", "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(notes) and all(e.startswith(n) for e, n in zip(err, notes))
+    assert sorted(f.name for f in tmp_path.iterdir()) == tables
+    header, rows = read_rows(tmp_path / "entropy.csv")
+    assert dict(zip(header, rows[0]))["H"] == "0"  # not "-0"
+
+
 def test_analyze_exits_zero_on_the_whole_edge_grid(tmp_path):
     # every p on the 0.005 grid over (0.5, 1) writes its three tables
     for k in range(1, 100):
@@ -351,6 +365,9 @@ def test_tradeoff_high_edge_and_overflow(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--p", "0.52", "--kelly", "--n", "128", "--paths", "50"],  # < 100 paths
     ["analyze", "--p", "0.52", "--grid", "1"],  # a curve needs two points
+    # the library's probability rule, as in simulate and tradeoff
+    ["analyze", "--p", "1.5"],
+    ["analyze", "--p", "nan"],
     ["simulate", "--p", "0.9", "--stake", "0.8", "--n", "5000", "--paths", "200"],  # E[W] overflows
     ["simulate", "--p", "0.9", "--stake", "0.8", "--n", "1000", "--paths", "200"],  # Var[W] too
     ["simulate", *SIM_ARGS, "--seed", "-1"],
@@ -360,8 +377,9 @@ def test_tradeoff_high_edge_and_overflow(tmp_path, capsys):
     ["tradeoff", "--p", "0.52", "--w0", "inf"],
     ["tradeoff", "--p", "0.52", "--f", "0.5,abc"],
     ["verify", "--quick", "--seed", "-1"],
-], ids=["simulate", "analyze", "simulate-overflow", "simulate-variance", "simulate-seed",
-        "simulate-w0", "simulate-mean-overflow", "tradeoff-w0", "tradeoff-f", "verify-seed"])
+], ids=["simulate", "analyze", "analyze-p", "analyze-p-nan", "simulate-overflow",
+        "simulate-variance", "simulate-seed", "simulate-w0", "simulate-mean-overflow",
+        "tradeoff-w0", "tradeoff-f", "verify-seed"])
 def test_failed_command_writes_no_csv(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
@@ -408,7 +426,7 @@ def test_verify_quick_is_clean(tmp_path, capsys):
     assert "verification clean" in capsys.readouterr().out
     # refactors of the registry must keep the errata bytes of this seed
     assert hashlib.sha256((tmp_path / "errata.csv").read_bytes()).hexdigest() == (
-        "e6337aeefb5562025af5afa948eb04d12a478a3340cc1b1630655884ed839779"
+        "bbc1d2c721e4c37e4ad35870eb3e1937dad2bcef571de6f8ceba20701107828f"
     )
 
 

@@ -45,8 +45,9 @@ def test_shannon_derivative_vanishes_at_argmax():
 
 
 def test_shannon_endpoints_carry_zero_entropy():
-    assert shannon(0.0) == 0.0
-    assert shannon(1.0) == 0.0
+    # -0.0 == 0.0, so the sign is read too: a -0.0 is written as "-0" in a CSV
+    for p in (0.0, 1.0):
+        assert shannon(p) == 0.0 and math.copysign(1.0, shannon(p)) == 1.0
 
 
 def test_shannon_rejects_bad_probability():
@@ -73,7 +74,8 @@ def test_binomial_entropy_loss_count_mirrors_win_count():
 
 def test_binomial_entropy_of_deterministic_game_is_zero():
     for p in (0.0, 1.0):
-        assert binomial_entropy_forms(BinomialSpec(N=10, p=p)) == (0.0, 0.0)
+        forms = binomial_entropy_forms(BinomialSpec(N=10, p=p))
+        assert forms == (0.0, 0.0) and all(math.copysign(1.0, h) == 1.0 for h in forms)
 
 
 def test_growth_entropy_identity_across_grid():

@@ -70,6 +70,22 @@ def test_resource_guard_on_total_steps():
             simulate(small_config(N=100_000, paths=100_000), checkpoints=checkpoints)
 
 
+def test_resource_guard_on_batch_bytes(monkeypatch):
+    # 10^9 paths of one step pass MAX_TOTAL_STEPS, but their wins and one
+    # checkpoint's two columns would take 24 GB: refused before any array is
+    # made, and no chunk is ever drawn
+    monkeypatch.setattr(martingale_lab, "_simulate_chunk", None)
+    cfg = small_config(N=1, paths=10**9)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceGuardError, match="batch arrays"):
+            simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
 def traced_peak(cfg: SimConfig, checkpoints=None) -> int:
     tracemalloc.start()
     try:
@@ -403,7 +419,7 @@ def test_decomposition_where_g_power_leaves_float64():
     cfg = SimConfig(w0=1e-200, p=0.9, F=0.8, N=1500, paths=200, seed=1)
     batch = simulate(cfg)
     dec = doob_decompose(batch)
-    for j, cp in enumerate(dec.checkpoints):
+    for j, cp in enumerate(batch.checkpoints):
         expected = expected_wealth_linear(cfg.w0, cfg.p, cfg.F, cp)
         assert dec.drift[j] + cfg.w0 == pytest.approx(expected, rel=1e-12)
         w = batch.checkpoint_wealth[:, j]
@@ -545,7 +561,7 @@ def test_martingale_part_mean_stays_flat():
     cfg = SimConfig(w0=1000.0, p=0.52, F=0.04, N=100, paths=20_000, seed=4)
     batch = simulate(cfg)
     dec = doob_decompose(batch)
-    for j in range(len(dec.checkpoints)):
+    for j in range(len(batch.checkpoints)):
         m = dec.martingale_part[:, j]
         se = float(np.std(m, ddof=1) / math.sqrt(m.size))
         assert abs(float(np.mean(m)) - cfg.w0) < 3.0 * se
@@ -556,7 +572,7 @@ def test_decomposition_recovers_expectation_split():
     batch = simulate(cfg)
     dec = doob_decompose(batch)
     # E[W(I)] = E[M(I)] * g^I = w0 g^I = A(I) + w0: the expectation-level split
-    for j, cp in enumerate(dec.checkpoints):
+    for j, cp in enumerate(batch.checkpoints):
         expected = cfg.w0 * conditional_growth_factor(cfg.p, cfg.F)**cp
         assert dec.drift[j] + cfg.w0 == pytest.approx(expected, rel=1e-12)
 

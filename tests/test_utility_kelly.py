@@ -220,7 +220,6 @@ def test_regime_partition_bundles_all_critical_stakes():
     assert part.f_kelly == kelly_fraction(0.52)
     assert part.f_star == f_star(0.52)
     assert part.f_star_approx == f_star_approx(0.52).approx
-    assert part.p == 0.52
 
 
 @pytest.mark.parametrize("p, series_ok, root_ok", [

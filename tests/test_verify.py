@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from kellybench import (
+    DomainError,
     SimConfig,
     doob_bound,
     doob_decompose,
@@ -67,8 +68,8 @@ def own_rows(scale, seed):
 
     cfg = SimConfig(w0=1.0, p=p, F=0.04, N=200, paths=paths, seed=seed)
     batch = simulate(cfg)
-    worst = max(empirical_sup_prob(batch, lam) - doob_bound(1.0, p, 0.04, 200, lam)
-                for lam in np.linspace(1.01, 2.0, 20))
+    bounds = [(lam, doob_bound(1.0, p, 0.04, 200, lam)) for lam in np.linspace(1.01, 2.0, 20)]
+    worst = max(empirical_sup_prob(batch, lam) - b for lam, b in bounds if b < 1.0)
     doob = ("<= 0", worst, 0.0, worst <= 0.0)
 
     dec = doob_decompose(simulate(replace(cfg, N=100)))
@@ -88,6 +89,21 @@ def test_shared_rows_equal_their_own_draws():
         r = _evaluate(claim(claim_id), run)
         assert (r.paper_value, r.oracle_value, r.rel_gap, r.verdict) == (
             paper, oracle, gap, "match" if holds else "mismatch"), claim_id
+
+
+def test_doob_row_reads_its_bound(monkeypatch):
+    # the worst gap is taken where the bound is below 1, so a bound of the
+    # wrong horizon moves the row's value, and a bound of 1 everywhere leaves
+    # the row nothing to check
+    run = Run(SCALES["quick"], 1)
+    doob = claim("doob-maximal-inequality")
+    right = _evaluate(doob, run).oracle_value
+    monkeypatch.setattr(verify, "doob_bound",
+                        lambda w0, p, F, N, lam: doob_bound(w0, p, F, N + 100, lam))
+    assert _evaluate(doob, run).oracle_value < right - 0.1
+    monkeypatch.setattr(verify, "doob_bound", lambda w0, p, F, N, lam: 1.0)
+    with pytest.raises(DomainError, match="no lambda"):
+        _evaluate(doob, run)
 
 
 def rational_moments(N, p, f):
