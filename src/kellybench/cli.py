@@ -240,10 +240,10 @@ def cmd_verify(args, parser) -> tuple[int, list[Table]]:
     print(f"verification {'clean' if clean else 'REGRESSION'} ({scale} scale)")
     return 0 if clean else 1, [(
         "errata.csv",
-        ["claim_id", "paper_location", "paper_value", "oracle_value", "rel_gap", "verdict"],
+        ["claim_id", "paper_location", "paper_value", "oracle_value", "gap", "tol", "verdict"],
         [[r.claim_id, r.paper_location.replace(",", ";"),
           _fmt(r.paper_value).replace(",", ";"), _fmt(r.oracle_value).replace(",", ";"),
-          r.rel_gap, r.verdict] for r in results],
+          r.gap, r.tol, r.verdict] for r in results],
     )]
 
 

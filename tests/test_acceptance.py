@@ -44,7 +44,7 @@ def gate(run: Run, claim_id: str) -> None:
     r = _evaluate(claim, run)
     report(claim_id, r.verdict == claim.expected,
            f"{r.verdict}, expected {claim.expected} (paper {r.paper_value}, "
-           f"oracle {r.oracle_value}, gap {r.rel_gap:.3g})")
+           f"oracle {r.oracle_value}, gap {r.gap:.3g}, tol {r.tol:.3g})")
 
 
 @pytest.mark.parametrize(

@@ -178,3 +178,18 @@ def test_mgf_rejects_nonfinite_argument():
     with pytest.raises(DomainError):
         log_mgf(BinomialSpec(N=4, p=0.5), float("inf"))
 
+
+def test_bruteforce_mgf_guards_its_argument_and_its_range():
+    for xi in (float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            mgf_bruteforce(BinomialSpec(N=4, p=0.5), xi)
+    # E[exp(2U)] at N = 1000 is about e^1464, past the float64 range
+    with pytest.raises(ResourceGuardError):
+        mgf_bruteforce(BinomialSpec(N=1000, p=0.52), 2.0)
+
+
+def test_log_mgf_of_a_game_never_won_is_zero():
+    # at p = 0 the count U is 0 surely, so E[exp(xi U)] = 1 at every xi
+    for xi in (-3.0, 0.5, 800.0):
+        assert log_mgf(BinomialSpec(N=7, p=0.0), xi) == 0.0
+

@@ -419,14 +419,17 @@ def test_verify_quick_is_clean(tmp_path, capsys):
     assert main(["verify", "--quick", "--seed", "1", "--out", str(tmp_path)]) == 0
     header, rows = read_rows(tmp_path / "errata.csv")
     assert header == ["claim_id", "paper_location", "paper_value", "oracle_value",
-                      "rel_gap", "verdict"]
+                      "gap", "tol", "verdict"]
     verdicts = {r[-1] for r in rows}
     assert verdicts <= {"match", "mismatch"}
+    for row in rows:  # every verdict is the registry's one rule, read from its row
+        r = dict(zip(header, row))
+        assert (r["verdict"] == "match") == (float(r["gap"]) <= float(r["tol"])), r["claim_id"]
     assert "mismatch" in verdicts  # documented inconsistencies are reported, not hidden
     assert "verification clean" in capsys.readouterr().out
     # refactors of the registry must keep the errata bytes of this seed
     assert hashlib.sha256((tmp_path / "errata.csv").read_bytes()).hexdigest() == (
-        "bbc1d2c721e4c37e4ad35870eb3e1937dad2bcef571de6f8ceba20701107828f"
+        "483fea405b2fcd0a162cedb58f13992b53399d6b9bb3492f51e704dfba7949a2"
     )
 
 

@@ -335,6 +335,13 @@ def test_checkpoints_must_increase_within_the_horizon():
         empirical_sup_prob(count_only, 1.5 * cfg.w0)
 
 
+def test_sup_prob_rejects_a_threshold_that_is_not_positive():
+    batch = simulate(small_config(N=20))
+    for lam in (0.0, -1.0, float("nan")):
+        with pytest.raises(DomainError, match="must be positive"):
+            empirical_sup_prob(batch, lam)
+
+
 def test_win_counts_do_not_read_the_stake():
     # so the drift row's three stakes can share one draw
     cfg = small_config(N=100, paths=300)

@@ -64,20 +64,20 @@ def own_rows(scale, seed):
         zs.append(abs(chk.z_score))
         if want:
             signs_ok &= want * chk.empirical_drift > 3 * chk.se
-    drift = ("z within 3", max(zs), 0.0, signs_ok and max(zs) <= 3.0)
+    drift = ("z within 3", max(zs), max(zs) if signs_ok else math.inf)
 
     cfg = SimConfig(w0=1.0, p=p, F=0.04, N=200, paths=paths, seed=seed)
     batch = simulate(cfg)
     bounds = [(lam, doob_bound(1.0, p, 0.04, 200, lam)) for lam in np.linspace(1.01, 2.0, 20)]
     worst = max(empirical_sup_prob(batch, lam) - b for lam, b in bounds if b < 1.0)
-    doob = ("<= 0", worst, 0.0, worst <= 0.0)
+    doob = ("<= 0", worst, worst)
 
     dec = doob_decompose(simulate(replace(cfg, N=100)))
     worst = 0.0
     for col in dec.martingale_part.T:
         se = float(np.std(col, ddof=1) / math.sqrt(col.size))
         worst = max(worst, abs(float(np.mean(col)) - 1.0) / se)
-    flat = ("z within 3", worst, 0.0, worst <= 3.0)
+    flat = ("z within 3", worst, worst)
     return dict(zip(SHARED_ROWS, (drift, doob, flat)))
 
 
@@ -85,10 +85,32 @@ def test_shared_rows_equal_their_own_draws():
     # seed 7 is pinned nowhere else: each row read from the shared batch is
     # the row its own batch gives, to the byte
     run = Run(SCALES["quick"], 7)
-    for claim_id, (paper, oracle, gap, holds) in own_rows(SCALES["quick"], 7).items():
+    for claim_id, (paper, oracle, gap) in own_rows(SCALES["quick"], 7).items():
         r = _evaluate(claim(claim_id), run)
-        assert (r.paper_value, r.oracle_value, r.rel_gap, r.verdict) == (
-            paper, oracle, gap, "match" if holds else "mismatch"), claim_id
+        assert (r.paper_value, r.oracle_value, r.gap, r.verdict) == (
+            paper, oracle, gap, "match" if gap <= claim(claim_id).tol else "mismatch"), claim_id
+
+
+def test_registry_rows_are_well_formed():
+    ids = [c.claim_id for c in _CLAIMS]
+    assert len(set(ids)) == len(ids)
+    for c in _CLAIMS:
+        assert c.expected in ("match", "mismatch"), c.claim_id
+        assert isinstance(c.tol, (int, float)) and math.isfinite(c.tol) and c.tol >= 0, c.claim_id
+
+
+def test_unknown_scale_is_refused():
+    with pytest.raises(ValueError, match="unknown scale"):
+        verify.run_verification(1, scale="medium")
+
+
+def test_break_even_row_needs_a_root(monkeypatch):
+    # a stake 1e-6 off the root leaves |U| near 4e-8, so the series is not
+    # checked against it: the row's gap is inf, whatever epsilon reads
+    off = f_star(0.52) + 1e-6
+    monkeypatch.setattr(verify, "f_star", lambda p: off)
+    r = _evaluate(claim("break-even-root"), Run(SCALES["quick"], 1))
+    assert (r.gap, r.verdict) == (math.inf, "mismatch")
 
 
 def test_doob_row_reads_its_bound(monkeypatch):
