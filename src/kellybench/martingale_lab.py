@@ -29,9 +29,10 @@ on N or on the other checkpoints, and the draw never reads F; so one batch
 serves every check on a prefix of its horizon, at every stake.
 
 A chunk's working set is fixed in bytes, not in paths: its draws are
-overwritten by the step factors and then by the wealth, so a path-step
-costs 8 B for the draw and 1 B for its outcome, and a chunk holds as many
-paths as fit in `_CHUNK_BYTES`. A horizon whose draws alone exceed that
+overwritten by the step factors, one exact integer multiply-add on their
+IEEE-754 bits, and then by the wealth, so a path-step costs 8 B for the
+draw and 1 B for its outcome, and a chunk holds as many paths as fit in
+`_CHUNK_BYTES`. A horizon whose draws alone exceed that
 budget is cut into time tiles of one path each; W, max W and the win count
 are carried from tile to tile, so memory does not grow with N. Ruin is a
 loss at full stake, read from the win counts, never from a wealth that
@@ -304,6 +305,8 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
     # carried from tile to tile: W and max W(0..I) where the tile starts
     # (neither is written in place, so both start as one array)
     wealth = top = np.full(stop - start, config.w0)
+    # the loss and win factors 1.0 - F and 1.0 + F as their IEEE-754 bits
+    lose, gain = np.array([1.0 - config.F, 1.0 + config.F]).view(np.uint64)
     for t0 in range(0, config.N, tile):
         width = min(tile, config.N - t0)
         x, won = u[:, :width], win[:, :width]
@@ -322,9 +325,13 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
         width = min(width, last - t0)
         x, won = x[:, :width], won[:, :width]
         # the factor 1 + F Z(I) is exactly 1.0 + F on a win and 1.0 - F on a
-        # loss; it is written over the spent draws
-        np.copyto(x, 1.0 - config.F)
-        np.copyto(x, 1.0 + config.F, where=won)
+        # loss, written over the spent draws in one integer pass on their
+        # bits: won * (gain - lose) + lose is lose or gain bit for bit (F >= 0,
+        # so gain >= lose and nothing wraps), and the map rounds nothing. A
+        # fill then a masked copyto writes the same floats in about 6x the time
+        bits = x.view(np.uint64)
+        np.multiply(won, gain - lose, out=bits, dtype=np.uint64)
+        np.add(bits, lose, out=bits)
         # fold the carried wealth (w0 on the first tile) into the first step so
         # cumprod performs the literal recursion W(I) = W(I-1) * (1 + F Z(I))
         # with one rounding per step

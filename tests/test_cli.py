@@ -516,6 +516,30 @@ PINNED_CSVS = {
         "trajectories_summary.csv":
             "f124b41317199a7d30801f0d218dde8654444fd918e150dd79ee7cdc53a9c200",
     }),
+    # a long horizon over three chunks of the 4 MB budget
+    "simulate-long": (["simulate", "--p", "0.52", "--kelly", "--n", "5000", "--paths", "200",
+                       "--seed", "8"], {
+        "doob.csv": "d5bfc365c1f7c0eedbc92dde38f6e2563c83faf98d2f42271dec9e2e92b80b0f",
+        "drift.csv": "ffe25a47850c6e1233eb003373e799b37b5442c1a6bf72b1990714dbaee53459",
+        "trajectories_summary.csv":
+            "aaa0d6566995d1d7d93af0ce0642a0a4c9127266b845af0b0c52e9e6274f6168",
+    }),
+    # a stake past 1/3; the other pins stake at most 0.1
+    "simulate-large-stake": (["simulate", "--p", "0.6", "--stake", "0.75", "--n", "40",
+                              "--paths", "300", "--seed", "6"], {
+        "doob.csv": "c4d9dc700d8d2a6d373328cb541724aad5a2805dfda437bd261c015a758bd0ad",
+        "drift.csv": "4f49e52f4a7f471d41f197616754225adffed75163191a6a56dc9e3a63f46e6b",
+        "trajectories_summary.csv":
+            "736b8cf44046a42f95d8080205481a92021aeb8c179d25346b7e170a1e9175b3",
+    }),
+    # full stake: a loss factor of +0.0, so every losing path is ruined
+    "simulate-full-stake": (["simulate", "--p", "0.98", "--stake", "1", "--n", "20",
+                             "--paths", "400", "--seed", "4"], {
+        "doob.csv": "ddcb0e259d43efbd7588e1b5978b24c510c1149b2c7722233ad5f55328556b26",
+        "drift.csv": "84873c50ab731c7a967769b7bf612a4edc14866b486e2e3f623d678b964ca076",
+        "trajectories_summary.csv":
+            "2381a6f9c0e37f0aa49366c4c3be93a08e64fe309f73c9f5f02ebb565fe3bc77",
+    }),
 }
 
 

@@ -353,21 +353,37 @@ def test_win_counts_do_not_read_the_stake():
 # ------------------------------------------------------ exact recursion
 
 
-def test_wealth_follows_exact_multiplicative_recursion():
+def assert_follows_literal_recursion(batch):
     # replay path k's substream through the literal float recursion, one
     # product per step, and keep its running maximum from w0
+    cfg = batch.config
+    for k in range(cfg.paths):
+        w = top = cfg.w0
+        walk = []
+        for u in np.random.default_rng((cfg.seed, k)).random(cfg.N).tolist():
+            w = w * (1.0 + cfg.F) if u < cfg.p else w * (1.0 - cfg.F)
+            top = max(top, w)
+            walk.append((w, top))
+        for j, cp in enumerate(batch.checkpoints):
+            assert batch.checkpoint_wealth[k, j] == walk[cp - 1][0]
+            assert batch.checkpoint_running_max[k, j] == walk[cp - 1][1]
+
+
+def test_wealth_follows_exact_multiplicative_recursion():
     for cfg in (small_config(N=63), small_config(N=63, p=0.45, F=0.1), small_config(N=3)):
-        batch = simulate(cfg)
-        for k in range(cfg.paths):
-            w = top = cfg.w0
-            walk = []
-            for u in np.random.default_rng((cfg.seed, k)).random(cfg.N).tolist():
-                w = w * (1.0 + cfg.F) if u < cfg.p else w * (1.0 - cfg.F)
-                top = max(top, w)
-                walk.append((w, top))
-            for j, cp in enumerate(cfg.checkpoints):
-                assert batch.checkpoint_wealth[k, j] == walk[cp - 1][0]
-                assert batch.checkpoint_running_max[k, j] == walk[cp - 1][1]
+        assert_follows_literal_recursion(simulate(cfg))
+
+
+@pytest.mark.parametrize("budget", [None, 296], ids=["default", "tiles-37"])
+@pytest.mark.parametrize("F", [0.0, 5e-324, 1 / 3, 0.75, math.nextafter(1.0, 0.0), 1.0],
+                         ids=["zero", "subnormal", "third", "three-quarters", "below-one", "one"])
+def test_factor_map_is_exact_at_edge_stakes(monkeypatch, F, budget):
+    # the step factors are written as integers on their bits: a win is 1.0 + F
+    # and a loss 1.0 - F exactly, at F = 0, at a stake that rounds both to
+    # 1.0, past 1/3, and where 1.0 - F is 2^-53 or +0.0
+    if budget is not None:
+        monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
+    assert_follows_literal_recursion(simulate(small_config(N=100, paths=20, F=F)))
 
 
 def test_win_counts_consistent_with_final_wealth():
