@@ -2,11 +2,11 @@
 
 Library layout:
 
-- bernoulli_core: binomial PMF, moments, MGFs, exact count covariance
+- bernoulli_core: binomial PMF, moments, MGFs, exact count covariance, input rules
 - entropy: Shannon entropy and the growth/entropy identity
 - utility_kelly: log-growth utility, Kelly point, break-even root, regime partition
-- martingale_lab: seeded Monte Carlo wealth paths, drift and Doob checks
-- risk_metrics: variance/volatility estimates, fractional Kelly trade-off
+- risk_metrics: the law of W(N) in closed form (g, E[W(N)], ruin, Doob, variance, trade-off)
+- martingale_lab: the seeded sampler of W(N) and the checks that read its batches
 - cli: the `kellybench` command (analyze / simulate / tradeoff / verify)
 """
 
@@ -35,20 +35,20 @@ from .martingale_lab import (
     DoobDecomposition,
     SimConfig,
     TrajectoryBatch,
-    conditional_growth_factor,
-    doob_bound,
     doob_decompose,
     empirical_sup_prob,
-    expected_wealth_enumeration,
-    expected_wealth_exponential,
-    expected_wealth_linear,
-    expected_wealth_product,
     log_drift_check,
-    ruin_probability_full_stake,
     simulate,
 )
 from .risk_metrics import (
     VarianceReport,
+    conditional_growth_factor,
+    doob_bound,
+    expected_wealth_enumeration,
+    expected_wealth_exponential,
+    expected_wealth_linear,
+    expected_wealth_product,
+    ruin_probability_full_stake,
     tradeoff_table,
     variance_report,
     wealth_approx,

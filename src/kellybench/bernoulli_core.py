@@ -1,4 +1,4 @@
-"""Binomial game primitives.
+"""Binomial game primitives, and the input rules of every game.
 
 The binomial PMF of the win count and its moments, the exact covariance of
 the win and loss counts, and moment-generating functions with brute-force
@@ -34,10 +34,32 @@ _BITS = 128
 _LN2 = math.log(2.0)
 
 
+def _check_count(n, what: str, least: int = 1) -> None:
+    """A count (trials, paths, a seed) is an int or NumPy integer, never a bool."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise DomainError(f"{what} {n!r} must be an integer")
+    if n < least:
+        raise DomainError(f"{what} {n!r} must be at least {least}")
+
+
 def _check_p(p: float) -> None:
     """A probability lies in [0, 1]; nan does not."""
     if not (0.0 <= p <= 1.0):
         raise DomainError(f"probability {p!r} outside [0, 1]")
+
+
+def _check_fp(F: float, p: float) -> None:
+    if not (0.0 <= F <= 1.0):
+        raise DomainError(f"stake fraction {F!r} outside [0, 1]")
+    _check_p(p)
+
+
+def _check_game(w0: float, p: float, F: float, N: int) -> None:
+    """The game every closed form and every run is defined on."""
+    if not (0.0 < w0 < math.inf):
+        raise DomainError(f"initial wealth {w0!r} must be positive and finite")
+    _check_fp(F, p)
+    _check_count(N, "trial count")
 
 
 @dataclass(frozen=True)
@@ -48,8 +70,7 @@ class BinomialSpec:
     p: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise DomainError(f"trial count {self.N!r} must be a positive integer")
+        _check_count(self.N, "trial count")
         _check_p(self.p)
 
 

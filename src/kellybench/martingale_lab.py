@@ -39,9 +39,8 @@ loss at full stake, read from the win counts, never from a wealth that
 underflows to 0.0.
 
 The regime statements are verified at the level where they are literally
-true: the drift of log-wealth has the sign of U(F, p). The exact one-step
-conditional expectation ratio E[W(I+1)|W(I)] / W(I) = 1 + F(2p-1) exceeds 1
-for any F > 0 when p > 1/2, and is exposed here as errata evidence.
+true: the drift of log-wealth has the sign of U(F, p). The closed forms of
+the law of W(N) that these checks compare against are in `risk_metrics`.
 """
 
 from __future__ import annotations
@@ -52,9 +51,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli_core import _LOG_FLOAT_MAX, _LOG_FLOAT_TINY, BinomialSpec, pmf_array
-from .errors import ApproximationDomainError, DomainError, KellyBenchError, ResourceGuardError
-from .utility_kelly import _check_fp, utility
+from .bernoulli_core import _LOG_FLOAT_TINY, _check_count, _check_game
+from .errors import DomainError, KellyBenchError, ResourceGuardError
+from .risk_metrics import conditional_growth_factor, expected_wealth_linear
+from .utility_kelly import utility
 
 # hard ceiling on paths * N
 MAX_TOTAL_STEPS = 10**9
@@ -89,23 +89,6 @@ _PCG64_LAYOUTS = {"uint128": (0, 1, 2, 3), "high-low": (1, 0, 3, 2)}
 _PROBE_WORDS = (1, 2, 3, 4)
 
 
-def _check_seed(seed) -> None:
-    """A seed is a non-negative integer, as NumPy's SeedSequence requires."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise DomainError(f"seed {seed!r} must be an integer")
-    if seed < 0:
-        raise DomainError(f"seed {seed!r} must be non-negative")
-
-
-def _check_game(w0: float, p: float, F: float, N: int) -> None:
-    """The game every closed form and every run is defined on."""
-    if not (0.0 < w0 < math.inf):
-        raise DomainError(f"initial wealth {w0!r} must be positive and finite")
-    _check_fp(F, p)
-    if N < 1:
-        raise DomainError(f"trial count {N!r} must be at least 1")
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """A reproducible Monte Carlo run: game, stake, horizon, and seeding."""
@@ -120,11 +103,9 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         _check_game(self.w0, self.p, self.F, self.N)
-        if self.paths < 1:
-            raise DomainError(f"path count {self.paths!r} must be at least 1")
-        _check_seed(self.seed)
-        if self.threads < 1:
-            raise DomainError(f"thread count {self.threads!r} must be at least 1")
+        _check_count(self.paths, "path count")
+        _check_count(self.seed, "seed", least=0)  # as NumPy's SeedSequence requires
+        _check_count(self.threads, "thread count")
 
     @property
     def checkpoints(self) -> tuple[int, ...]:
@@ -396,69 +377,6 @@ def simulate(config: SimConfig, checkpoints: tuple[int, ...] | None = None) -> T
     return batch
 
 
-def conditional_growth_factor(p: float, F: float) -> float:
-    """Exact one-step ratio E[W(I+1) | W(I)] / W(I) = 1 + F(2p - 1)."""
-    _check_fp(F, p)
-    return p * (1.0 + F) + (1.0 - p) * (1.0 - F)
-
-
-def expected_wealth_linear(w0: float, p: float, F: float, N: int) -> float:
-    """Closed form w0 * (1 + F(2p-1))^N for E[W(N)].
-
-    A value beyond float64 range is a ResourceGuardError, not an
-    OverflowError escaping to the caller. The test is on log w0 + N log g,
-    since a small w0 brings some g^N beyond float64 back into range.
-    """
-    _check_game(w0, p, F, N)
-    g = 1.0 + F * (2.0 * p - 1.0)
-    log_mean = math.log(w0) + N * math.log(g) if g > 0.0 else -math.inf
-    if log_mean > _LOG_FLOAT_MAX:
-        raise ResourceGuardError(f"expected wealth overflows float64 at N={N}, F={F!r}")
-    try:
-        return w0 * g**N
-    except OverflowError:  # g^N alone is beyond float64, w0 g^N is not
-        return math.exp(log_mean)
-
-
-def expected_wealth_product(w0: float, p: float, F: float, N: int) -> float:
-    """Factorized form w0 * (1+pF)^N (1-qF)^N of E[W(N)].
-
-    It treats the win and loss counts as independent; under the
-    complementary model it deviates from the exact expectation, and the
-    gap is a reported erratum.
-    """
-    _check_game(w0, p, F, N)
-    q = 1.0 - p
-    return w0 * ((1.0 + p * F) * (1.0 - q * F)) ** N
-
-
-def expected_wealth_exponential(w0: float, p: float, F: float, N: int) -> float:
-    """Small-stake exponential estimate w0 * exp(N F (p - q))."""
-    _check_game(w0, p, F, N)
-    if F > 0.1:
-        raise ApproximationDomainError(f"exponential estimate requires F <= 0.1, got {F!r}")
-    return w0 * math.exp(N * F * (2.0 * p - 1.0))
-
-
-def _enumerated_wealth(w0: float, p: float, F: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(U = k) and W(N) = w0 (1+F)^k (1-F)^(N-k) for k = 0..N, the terms of
-    the enumeration oracles; ResourceGuardError where a W(N) leaves float64."""
-    probs = pmf_array(BinomialSpec(N=N, p=p))
-    alpha = np.arange(N + 1.0)
-    try:
-        with np.errstate(over="raise"):
-            return probs, w0 * (1.0 + F) ** alpha * (1.0 - F) ** (N - alpha)
-    except FloatingPointError:
-        raise ResourceGuardError(f"enumerated wealth overflows float64 at N={N}, F={F!r}") from None
-
-
-def expected_wealth_enumeration(w0: float, p: float, F: float, N: int) -> float:
-    """Exact E[W(N)] by summation over the binomial win count; the oracle."""
-    _check_game(w0, p, F, N)
-    probs, w = _enumerated_wealth(w0, p, F, N)
-    return math.fsum(probs * w)
-
-
 def log_drift_check(config: SimConfig, wins: np.ndarray) -> DriftCheck:
     """Empirical per-trial log drift of a batch's win counts against the
     closed-form U(F, p).
@@ -495,27 +413,6 @@ def log_drift_check(config: SimConfig, wins: np.ndarray) -> DriftCheck:
     )
 
 
-def ruin_probability_full_stake(p: float, N: int) -> float:
-    """Probability 1 - p^N that an all-in strategy hits zero within N bets."""
-    _check_game(1.0, p, 1.0, N)
-    return 1.0 - p**N
-
-
-def doob_bound(w0: float, p: float, F: float, N: int, lam: float) -> float:
-    """Maximal-inequality ceiling min(1, max(w0, E[W(N)]) / lambda) on
-    P(max_{I<=N} W(I) >= lambda).
-
-    Doob's E[W(N)] / lambda for the submartingale (p >= 1/2, where
-    E[W(N)] >= w0) and Ville's w0 / lambda for the supermartingale
-    (p < 1/2), so the one expression holds in every regime.
-    """
-    if not (lam > 0.0):
-        raise DomainError(f"threshold {lam!r} must be positive")
-    ceiling = max(w0, expected_wealth_linear(w0, p, F, N))
-    # compared before the division, which can overflow for a tiny lambda
-    return 1.0 if ceiling >= lam else ceiling / lam
-
-
 def empirical_sup_prob(batch: TrajectoryBatch, lam: float) -> float:
     """Fraction of paths whose running maximum up to the batch's last
     checkpoint reaches lambda."""
@@ -529,9 +426,9 @@ def empirical_sup_prob(batch: TrajectoryBatch, lam: float) -> float:
 def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:
     """Split the growth-regime process into martingale part and drift.
 
-    M(I) = W(I) * (1 + F(2p-1))^(-I) and A(I) = w0 * (1 + F(2p-1))^I - w0.
-    The decomposition identity is verified at the expectation level: the
-    cross-path mean of M(I) stays flat at w0.
+    M(I) = W(I) * g^(-I) and A(I) = E[W(I)] - w0 = w0 * g^I - w0, with
+    g = 1 + F(2p-1). The decomposition identity is verified at the
+    expectation level: the cross-path mean of M(I) stays flat at w0.
     """
     cfg = batch.config
     # F = 0 sits on the regime boundary (U = 0) and degenerates to M = w0, A = 0
@@ -544,11 +441,10 @@ def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:
     log_growth = cps * math.log(g)
     if log_growth.max(initial=0.0) <= -_LOG_FLOAT_TINY:
         mart = batch.checkpoint_wealth * g ** (-cps)
-        drift = cfg.w0 * g**cps - cfg.w0
     else:
-        # g^-I is below the normal floats, though W(I) g^-I and w0 g^I need
-        # not be (w0 < 1): take both in log space; M(I) = 0 where W(I) is
+        # g^-I is below the normal floats, though W(I) g^-I need not be:
+        # take it in log space; M(I) = 0 where W(I) is
         with np.errstate(divide="ignore"):
             mart = np.exp(np.log(batch.checkpoint_wealth) - log_growth)
-        drift = np.exp(math.log(cfg.w0) + log_growth) - cfg.w0
-    return DoobDecomposition(martingale_part=mart, drift=drift)
+    drift = [expected_wealth_linear(cfg.w0, cfg.p, cfg.F, I) - cfg.w0 for I in batch.checkpoints]
+    return DoobDecomposition(martingale_part=mart, drift=np.array(drift))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli_core import _check_p
+from .bernoulli_core import _check_count, _check_fp, _check_p
 from .errors import (
     DegenerateGameError,
     DomainError,
@@ -62,12 +62,6 @@ class RegimePartition:
     f_star_approx: float
     epsilon: float
     notes: tuple[str, ...] = ()
-
-
-def _check_fp(F: float, p: float) -> None:
-    if not (0.0 <= F <= 1.0):
-        raise DomainError(f"stake fraction {F!r} outside [0, 1]")
-    _check_p(p)
 
 
 def utility(F: float, p: float) -> float:
@@ -173,8 +167,7 @@ def utility_dominance(F: float, p: float, p_hat: float) -> float:
 def utility_curve(p: float, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform grid of (F, U(F, p)) over [0, 1]; the F = 1 endpoint carries
     the -infinity sentinel."""
-    if grid_points < 2:
-        raise DomainError(f"grid needs at least 2 points, got {grid_points!r}")
+    _check_count(grid_points, "grid point count", least=2)
     if grid_points > MAX_GRID_POINTS:
         raise ResourceGuardError(f"grid of {grid_points} points exceeds {MAX_GRID_POINTS}")
     _check_p(p)

@@ -74,9 +74,9 @@ from . import (
     variance_report,
     wealth_approx,
 )
-from .bernoulli_core import _enumerated_count_moments
+from .bernoulli_core import _check_count, _enumerated_count_moments
 from .entropy import binomial_entropy_forms
-from .martingale_lab import _check_seed, _ruined
+from .martingale_lab import _ruined
 
 
 @dataclass(frozen=True)
@@ -420,7 +420,7 @@ def run_verification(seed: int, scale: str = "quick") -> tuple[list[ClaimResult]
     """
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}; use one of {sorted(SCALES)}")
-    _check_seed(seed)
+    _check_count(seed, "seed", least=0)
     run = Run(SCALES[scale], seed)
     results = [_evaluate(claim, run) for claim in _CLAIMS]
     clean = all(

@@ -532,6 +532,14 @@ PINNED_CSVS = {
         "trajectories_summary.csv":
             "736b8cf44046a42f95d8080205481a92021aeb8c179d25346b7e170a1e9175b3",
     }),
+    # two-thirds Kelly: p(1+F) + q(1-F) and 1 + F(2p-1) differ in the last bit here
+    "simulate-fractional": (["simulate", "--p", "0.52", "--fraction", "0.6666666666666666",
+                             "--n", "200", "--paths", "300", "--seed", "9"], {
+        "doob.csv": "39ec8d718cfef16e2f20d813f9ff06061773e5d4577fbd10905660ed5bbc30b8",
+        "drift.csv": "e28681ff318274456e801f20a1812c1d1ca0292f780f7440d0262b5c3be2bf0b",
+        "trajectories_summary.csv":
+            "2d0e9a80178d72c16bdb5b45982db88e5bd03d98155438dfa9bde830e010015b",
+    }),
     # full stake: a loss factor of +0.0, so every losing path is ruined
     "simulate-full-stake": (["simulate", "--p", "0.98", "--stake", "1", "--n", "20",
                              "--paths", "400", "--seed", "4"], {

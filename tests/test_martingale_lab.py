@@ -52,6 +52,9 @@ def test_config_validation():
         small_config(F=-0.1)
     with pytest.raises(DomainError):
         small_config(paths=0)
+    for counts in (dict(N=2.5), dict(paths=150.5)):  # counts are integers
+        with pytest.raises(DomainError, match="must be an integer"):
+            small_config(**counts)
     with pytest.raises(DomainError):
         small_config(threads=0)
     for seed in (-1, 1.5, "7", True):
@@ -462,7 +465,7 @@ def test_enumeration_guard():
 ])
 def test_closed_forms_validate_the_game(closed_form):
     for w0, p, F, N in ((0.0, 0.52, 0.04, 10), (math.inf, 0.52, 0.04, 10), (1.0, 1.5, 0.04, 10),
-                        (1.0, 0.52, -0.1, 10), (1.0, 0.52, 0.04, 0)):
+                        (1.0, 0.52, -0.1, 10), (1.0, 0.52, 0.04, 0), (1.0, 0.52, 0.04, 2.5)):
         with pytest.raises(DomainError):
             closed_form(w0, p, F, N)
 
@@ -598,6 +601,19 @@ def test_decomposition_recovers_expectation_split():
     for j, cp in enumerate(batch.checkpoints):
         expected = cfg.w0 * conditional_growth_factor(cfg.p, cfg.F)**cp
         assert dec.drift[j] + cfg.w0 == pytest.approx(expected, rel=1e-12)
+
+
+def test_decomposition_drift_is_expected_wealth_less_w0():
+    # one g for the drift and for E[W(I)]: at two-thirds Kelly the two ways
+    # of writing g, p(1+F) + q(1-F) and 1 + F(2p-1), differ in the last bit
+    p = 0.52
+    F = 0.6666666666666666 * kelly_fraction(p)
+    assert conditional_growth_factor(p, F) == expected_wealth_linear(1.0, p, F, 1)
+    cfg = SimConfig(w0=1000.0, p=p, F=F, N=40, paths=200, seed=1)
+    batch = simulate(cfg)
+    dec = doob_decompose(batch)
+    for j, cp in enumerate(batch.checkpoints):
+        assert dec.drift[j] == expected_wealth_linear(cfg.w0, p, F, cp) - cfg.w0
 
 
 def test_zero_stake_decomposition_is_trivial():

@@ -13,9 +13,11 @@ from kellybench import (
     ResourceGuardError,
     SimConfig,
     TrialCounts,
+    doob_bound,
     expected_wealth_enumeration,
     expected_wealth_linear,
     kelly_fraction,
+    ruin_probability_full_stake,
     simulate,
     tradeoff_table,
     utility,
@@ -163,6 +165,20 @@ def test_variance_vanishes_without_randomness_or_stake():
 def test_enumeration_oracles_raise_where_float64_is_left(oracle, game):
     with pytest.raises(ResourceGuardError):
         oracle(*game)
+
+
+@pytest.mark.parametrize("law", [
+    lambda N: log_variance(1.0, 0.52, 0.04, N),
+    lambda N: variance_report(1.0, 0.52, 0.04, N),
+    lambda N: doob_bound(1.0, 0.52, 0.04, N, 2.0),
+    lambda N: ruin_probability_full_stake(0.52, N),
+    lambda N: tradeoff_table(0.52, [0.5], N, 1.0),
+], ids=["log_variance", "variance_report", "doob_bound", "ruin", "tradeoff_table"])
+def test_trial_count_is_an_integer(law):
+    law(np.int64(10))  # a NumPy integer is a count; a fraction or a bool is not
+    for N in (2.5, True):
+        with pytest.raises(DomainError, match="trial count"):
+            law(N)
 
 
 def test_variance_oracle_returns_up_to_the_float_limit():

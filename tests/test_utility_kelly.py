@@ -287,5 +287,6 @@ def test_utility_curve_fair_game_maximum_at_zero():
 
 
 def test_utility_curve_needs_two_points():
-    with pytest.raises(DomainError):
-        utility_curve(0.6, 1)
+    for grid_points in (1, 2.5, True):  # a point count is an integer of at least 2
+        with pytest.raises(DomainError):
+            utility_curve(0.6, grid_points)
