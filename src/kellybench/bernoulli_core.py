@@ -54,6 +54,12 @@ def _check_fp(F: float, p: float) -> None:
     _check_p(p)
 
 
+def _check_threshold(lam: float) -> None:
+    """A threshold on the running maximum of wealth is positive; nan is not."""
+    if not (lam > 0.0):
+        raise DomainError(f"threshold {lam!r} must be positive")
+
+
 def _check_game(w0: float, p: float, F: float, N: int) -> None:
     """The game every closed form and every run is defined on."""
     if not (0.0 < w0 < math.inf):

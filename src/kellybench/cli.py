@@ -195,7 +195,7 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
                     float(np.mean(w_cp)),
                     float(np.var(w_cp, ddof=1)),
                     float(np.mean(dec.martingale_part[:, j])) if dec else float("nan"),
-                    float(np.mean(batch.checkpoint_running_max[:, j] >= lam_ref)),
+                    empirical_sup_prob(batch, lam_ref, j),
                     doob_bound(config.w0, config.p, F, cp, lam_ref),
                 ])
             lam_grid = np.linspace(1.01, 2.0, 20) * config.w0

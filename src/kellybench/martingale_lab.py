@@ -15,18 +15,20 @@ through the generator's `state` property before any path is drawn; a layout
 it does not know raises KellyBenchError, and nothing is drawn. The tests
 check the states, and the words as `state` reads them, against NumPy's own.
 Full paths are never kept: a check needs only the win counts over all N
-steps and, at each checkpoint I, W(I) and max W(0..I). The checkpoints are
-the quarters of the horizon unless the caller names others.
+steps and, at each checkpoint I, the win count in steps 1..I, W(I) and
+max W(0..I). The checkpoints are the quarters of the horizon unless the
+caller names others.
 
 The kernel is two functions. `simulate` checks the call and cuts the batch
 into chunks; `_simulate_chunk` seeds, writes and draws a chunk's paths tile
-by tile, counts their wins, and writes each tile's wealth over its draws up
-to the last checkpoint, past which it only counts wins. With no checkpoints
-it draws no wealth at all: the win counts are all that the log drift and
-the full-stake ruin law depend on. Since cumprod and the running max are
-sequential along a path, W(I) and max W(0..I) at a checkpoint do not depend
-on N or on the other checkpoints, and the draw never reads F; so one batch
-serves every check on a prefix of its horizon, at every stake.
+by tile, counts their wins from checkpoint to checkpoint, and writes each
+tile's wealth over its draws up to the last checkpoint, past which it only
+counts wins. With no checkpoints it draws no wealth at all: the win counts
+are all that the log drift and the full-stake ruin law depend on. Since the
+count, cumprod and the running max are sequential along a path, the win
+count, W(I) and max W(0..I) at a checkpoint do not depend on N or on the
+other checkpoints, and the draw never reads F; so one batch serves every
+check on a prefix of its horizon, at every stake.
 
 A chunk's working set is fixed in bytes, not in paths: its draws are
 overwritten by the step factors, one exact integer multiply-add on their
@@ -51,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli_core import _LOG_FLOAT_TINY, _check_count, _check_game
+from .bernoulli_core import _LOG_FLOAT_TINY, _check_count, _check_game, _check_threshold
 from .errors import DomainError, KellyBenchError, ResourceGuardError
 from .risk_metrics import conditional_growth_factor, expected_wealth_linear
 from .utility_kelly import utility
@@ -59,7 +61,8 @@ from .utility_kelly import utility
 # hard ceiling on paths * N
 MAX_TOTAL_STEPS = 10**9
 
-# hard ceiling on a batch's arrays: 8 B of wins and 16 B a checkpoint, per path
+# hard ceiling on a batch's arrays: 8 B of wins and 20 B a checkpoint (W, max W
+# and an int32 win count, which holds any count <= MAX_TOTAL_STEPS < 2^31), per path
 MAX_BATCH_BYTES = 1 << 30
 
 # working-set budget of one chunk: 8 B of draws and 1 B of outcomes a path-step
@@ -121,6 +124,7 @@ class TrajectoryBatch:
     config: SimConfig
     checkpoints: tuple[int, ...]  # increasing, in [1, N]; may be empty
     wins: np.ndarray  # (paths,) win count per path over all N steps
+    checkpoint_wins: np.ndarray  # (paths, len(checkpoints)) int32, wins in steps 1..I
     checkpoint_wealth: np.ndarray  # (paths, len(checkpoints)), W(I)
     checkpoint_running_max: np.ndarray  # (paths, len(checkpoints)), max W(0..I)
 
@@ -298,7 +302,18 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
         else:  # the one path's stream goes on where the last tile stopped
             gen.random(out=x[0])
         np.less(x, config.p, out=won)
-        wins += won.sum(axis=1)
+        in_tile = (cps > t0) & (cps <= t0 + width)
+        ends = cps[in_tile] - t0  # the tile's checkpoints, as columns from 1
+        # count each segment (previous checkpoint, checkpoint] of the tile, and
+        # its tail, into the carried count, which is then the checkpoint's.
+        # einsum sums a segment's outcome bytes into int32, where any tile's
+        # count fits; a per-segment int64 sum takes about twice as long
+        bounds = [0, *ends.tolist(), width]
+        cols = np.flatnonzero(in_tile)
+        for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            wins += np.einsum("ij->i", won[:, a:b].view(np.uint8), dtype=np.int32)
+            if j < cols.size:
+                batch.checkpoint_wins[rows, cols[j]] = wins
         if t0 >= last:
             continue
         # no wealth past the last checkpoint: a prefix of the draws is its own
@@ -318,8 +333,6 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
         # with one rounding per step
         x[:, 0] *= wealth
         np.cumprod(x, axis=1, out=x)
-        in_tile = (cps > t0) & (cps <= t0 + width)
-        ends = cps[in_tile] - t0  # the tile's checkpoints, as columns from 1
         batch.checkpoint_wealth[rows, in_tile] = x[:, ends - 1]
         # max over each segment (previous checkpoint, checkpoint] of the tile,
         # then a prefix max from the carried max; max does not round, so this
@@ -354,7 +367,7 @@ def simulate(config: SimConfig, checkpoints: tuple[int, ...] | None = None) -> T
         raise ResourceGuardError(
             f"{config.paths} paths x {config.N} steps exceeds {MAX_TOTAL_STEPS}"
         )
-    if config.paths * (8 + 16 * len(checkpoints)) > MAX_BATCH_BYTES:
+    if config.paths * (8 + 20 * len(checkpoints)) > MAX_BATCH_BYTES:
         raise ResourceGuardError(
             f"{config.paths} paths x {len(checkpoints)} checkpoints exceed "
             f"{MAX_BATCH_BYTES} B of batch arrays")
@@ -369,6 +382,7 @@ def simulate(config: SimConfig, checkpoints: tuple[int, ...] | None = None) -> T
         config=config,
         checkpoints=checkpoints,
         wins=np.zeros(config.paths, dtype=np.int64),
+        checkpoint_wins=np.empty(shape, dtype=np.int32),
         checkpoint_wealth=np.empty(shape),
         checkpoint_running_max=np.empty(shape),
     )
@@ -413,14 +427,13 @@ def log_drift_check(config: SimConfig, wins: np.ndarray) -> DriftCheck:
     )
 
 
-def empirical_sup_prob(batch: TrajectoryBatch, lam: float) -> float:
-    """Fraction of paths whose running maximum up to the batch's last
-    checkpoint reaches lambda."""
-    if not (lam > 0.0):
-        raise DomainError(f"threshold {lam!r} must be positive")
+def empirical_sup_prob(batch: TrajectoryBatch, lam: float, column: int = -1) -> float:
+    """Fraction of paths whose running maximum up to the batch's checkpoint
+    in `column` (default: the last) reaches lambda."""
+    _check_threshold(lam)
     if not batch.checkpoints:
         raise DomainError("a batch without checkpoints has no running maximum")
-    return float(np.mean(batch.checkpoint_running_max[:, -1] >= lam))
+    return float(np.mean(batch.checkpoint_running_max[:, column] >= lam))
 
 
 def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:

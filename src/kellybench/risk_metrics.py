@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernoulli_core import _LOG_FLOAT_MAX, _LOG_FLOAT_TINY, BinomialSpec, TrialCounts, pmf_array
-from .bernoulli_core import _check_count, _check_fp, _check_game, _check_p
+from .bernoulli_core import _check_count, _check_fp, _check_game, _check_p, _check_threshold
 from .errors import ApproximationDomainError, DomainError, ResourceGuardError
 from .utility_kelly import kelly_fraction, utility
 
@@ -120,8 +120,7 @@ def doob_bound(w0: float, p: float, F: float, N: int, lam: float) -> float:
     E[W(N)] >= w0) and Ville's w0 / lambda for the supermartingale
     (p < 1/2), so the one expression holds in every regime.
     """
-    if not (lam > 0.0):
-        raise DomainError(f"threshold {lam!r} must be positive")
+    _check_threshold(lam)
     ceiling = max(w0, expected_wealth_linear(w0, p, F, N))
     # compared before the division, which can overflow for a tiny lambda
     return 1.0 if ceiling >= lam else ceiling / lam

@@ -24,11 +24,13 @@ full scale and asserts its expected verdict, mismatches included, so a
 claim's config, tolerance and expected verdict are written only here.
 
 A row is checked against one `Run` of the registry: its scale, its seed,
-and the Monte Carlo batch that the regime rows share. The drift, Doob and
-flatness rows all play p = 0.52 over a prefix of the same paths, so the
+and the Monte Carlo batch that the regime rows share. The drift, ruin, Doob
+and flatness rows all play p = 0.52 over a prefix of the same paths, so the
 run draws them once, at F = 0.04 to the scale's horizon, on first use. The
-draw never reads F, and W(I) and max W(0..I) at a checkpoint do not depend
-on the horizon, so each row reads the bytes that its own batch would give.
+draw never reads F, and the win count, W(I) and max W(0..I) at a checkpoint
+do not depend on the horizon, so each row reads the bytes that its own
+batch would give: the ruin row, for one, reads the win counts at I = 50 as
+its full-stake draw of N = 50.
 """
 
 from __future__ import annotations
@@ -97,7 +99,8 @@ class Scale:
 
 
 # the shared batch: the flatness row reads the first four columns (its
-# quarters of N = 100), the Doob row the running maximum at 200
+# quarters of N = 100), the ruin row the win counts at 50, the Doob row the
+# running maximum at 200
 _SHARED_CHECKPOINTS = (25, 50, 75, 100, 200)
 
 
@@ -270,10 +273,13 @@ def _claim_drift_trichotomy(run: Run) -> tuple:
 
 
 def _claim_ruin_law(run: Run) -> tuple:
-    p, N = 0.52, 50
-    cfg = SimConfig(w0=1.0, p=p, F=1.0, N=N, paths=run.scale.paths, seed=run.seed)
-    emp = float(np.mean(_ruined(cfg, simulate(cfg, checkpoints=()).wins)))
-    theory = ruin_probability_full_stake(p, N)
+    # ruin at full stake over N = 50 reads only the wins in steps 1..50, which
+    # the shared batch counts at its checkpoint 50: the draw never reads F
+    batch, N = run.batch, 50
+    cfg = replace(batch.config, F=1.0, N=N)
+    wins = batch.checkpoint_wins[:, batch.checkpoints.index(N)]
+    emp = float(np.mean(_ruined(cfg, wins)))
+    theory = ruin_probability_full_stake(cfg.p, N)
     se = math.sqrt(theory * (1 - theory) / cfg.paths)
     return theory, emp, abs(emp - theory) / se
 

@@ -73,20 +73,33 @@ def test_resource_guard_on_total_steps():
             simulate(small_config(N=100_000, paths=100_000), checkpoints=checkpoints)
 
 
-def test_resource_guard_on_batch_bytes(monkeypatch):
-    # 10^9 paths of one step pass MAX_TOTAL_STEPS, but their wins and one
-    # checkpoint's two columns would take 24 GB: refused before any array is
-    # made, and no chunk is ever drawn
-    monkeypatch.setattr(martingale_lab, "_simulate_chunk", None)
-    cfg = small_config(N=1, paths=10**9)
+def refused_peak(cfg: SimConfig) -> int:
+    """The traced peak of a simulate call that the batch-byte guard refuses."""
     tracemalloc.start()
     try:
         with pytest.raises(ResourceGuardError, match="batch arrays"):
             simulate(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10**6
+
+
+def test_resource_guard_on_batch_bytes(monkeypatch):
+    # 10^9 paths of one step pass MAX_TOTAL_STEPS, but their wins and one
+    # checkpoint's three columns would take 28 GB: refused before any array
+    # is made, and no chunk is ever drawn
+    monkeypatch.setattr(martingale_lab, "_simulate_chunk", None)
+    assert refused_peak(small_config(N=1, paths=10**9)) < 10**6
+
+
+def test_resource_guard_counts_the_checkpoint_wins(monkeypatch):
+    # 10^6 paths at one checkpoint: 24 MB of wealth columns and wins, and
+    # 28 MB with the int32 win counts, so a 26 MB ceiling refuses the batch
+    monkeypatch.setattr(martingale_lab, "_simulate_chunk", None)
+    monkeypatch.setattr(martingale_lab, "MAX_BATCH_BYTES", 26 * 10**6)
+    cfg = small_config(N=1, paths=10**6)
+    assert cfg.paths * (8 + 16 * len(cfg.checkpoints)) <= martingale_lab.MAX_BATCH_BYTES
+    assert refused_peak(cfg) < 10**6
 
 
 def traced_peak(cfg: SimConfig, checkpoints=None) -> int:
@@ -311,19 +324,24 @@ def test_win_counts_equal_simulate_wins(monkeypatch, name, budget, tile, chunk):
 def test_checkpoint_columns_are_the_runs_of_their_horizons(monkeypatch, name, budget):
     # the column at checkpoint I is the last column of a run of horizon I:
     # a batch at N = 100 serves checks at 25, 60 and 99 with their own bytes,
-    # and its win counts still cover all 100 steps
+    # its win count at I is the count-only draw of horizon I, and its win
+    # counts still cover all 100 steps. The tiles put checkpoints inside a
+    # tile, on its edge and in a short last tile, where the count is carried
     cfg = replace(KERNEL_CONFIGS[name], paths=10)
     cps = (25, 60, 99)
     if budget is not None:
         monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
     batch = simulate(cfg, checkpoints=cps)
     assert batch.checkpoints == cps
+    assert batch.checkpoint_wins.dtype == np.int32
     assert np.array_equal(batch.wins, simulate(cfg, checkpoints=()).wins)
     for j, c in enumerate(cps):
         own = simulate(replace(cfg, N=c))
         assert np.array_equal(batch.checkpoint_wealth[:, j], own.checkpoint_wealth[:, -1])
         assert np.array_equal(batch.checkpoint_running_max[:, j],
                               own.checkpoint_running_max[:, -1])
+        assert np.array_equal(batch.checkpoint_wins[:, j],
+                              simulate(replace(cfg, N=c), checkpoints=()).wins)
 
 
 def test_checkpoints_must_increase_within_the_horizon():
@@ -339,10 +357,23 @@ def test_checkpoints_must_increase_within_the_horizon():
 
 
 def test_sup_prob_rejects_a_threshold_that_is_not_positive():
-    batch = simulate(small_config(N=20))
+    # by the same rule as the bound it is compared with
+    cfg = small_config(N=20)
+    batch = simulate(cfg)
     for lam in (0.0, -1.0, float("nan")):
         with pytest.raises(DomainError, match="must be positive"):
             empirical_sup_prob(batch, lam)
+        with pytest.raises(DomainError, match="must be positive"):
+            doob_bound(cfg.w0, cfg.p, cfg.F, cfg.N, lam)
+
+
+def test_sup_prob_reads_the_checkpoint_of_its_column():
+    batch = simulate(small_config(N=100))
+    lam = 1.02 * batch.config.w0
+    shares = [empirical_sup_prob(batch, lam, j) for j in range(len(batch.checkpoints))]
+    assert shares == [float(np.mean(col >= lam)) for col in batch.checkpoint_running_max.T]
+    assert empirical_sup_prob(batch, lam) == shares[-1]
+    assert shares == sorted(shares) and shares[0] < shares[-1]
 
 
 def test_win_counts_do_not_read_the_stake():

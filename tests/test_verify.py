@@ -20,6 +20,7 @@ from kellybench import (
     simulate,
     verify,
 )
+from kellybench.martingale_lab import _ruined
 from kellybench.verify import _CLAIMS, SCALES, Run, _evaluate
 
 SHARED_ROWS = ("drift-trichotomy", "doob-maximal-inequality", "martingale-flatness")
@@ -31,8 +32,8 @@ def claim(claim_id):
 
 @pytest.mark.parametrize("claim_id", ["drift-trichotomy", "ruin-law"])
 def test_win_count_rows_draw_no_wealth(monkeypatch, claim_id):
-    # ruin-law makes one count-only draw of its own; drift-trichotomy reads
-    # the run's shared batch, drawn once for it and the Doob and flatness rows
+    # neither row draws on its own: both read the win counts of the run's
+    # shared batch, drawn once for them and the Doob and flatness rows
     draws = []
 
     def recording_simulate(config, checkpoints=None):
@@ -43,14 +44,33 @@ def test_win_count_rows_draw_no_wealth(monkeypatch, claim_id):
     run = Run(SCALES["quick"], 1)
     result = _evaluate(claim(claim_id), run)
     assert result.verdict == claim(claim_id).expected
+    assert [cps for _, cps in draws] == [verify._SHARED_CHECKPOINTS]
+    for other in SHARED_ROWS:
+        _evaluate(claim(other), run)
     assert len(draws) == 1
     if claim_id == "ruin-law":
-        assert draws[0][1] == ()
-    else:
-        assert draws[0][1] == verify._SHARED_CHECKPOINTS
-        for other in SHARED_ROWS:
-            _evaluate(claim(other), run)
-        assert len(draws) == 1
+        # the batch's wins at I = 50 are the full-stake draw of N = 50, so the
+        # row reads what a draw of its own would give. At p = 0.52 every path
+        # is ruined either way, so the wins that the row reads are compared too
+        read = []
+
+        def recording_ruined(cfg, wins):
+            read.append(wins)
+            return _ruined(cfg, wins)
+
+        monkeypatch.setattr(verify, "_ruined", recording_ruined)
+        for seed in (1, 7):
+            cfg = SimConfig(w0=1.0, p=0.52, F=1.0, N=50, paths=SCALES["quick"].paths,
+                            seed=seed)
+            own = simulate(cfg, checkpoints=()).wins
+            r = _evaluate(claim(claim_id), Run(SCALES["quick"], seed))
+            assert r.oracle_value == float(np.mean(own < cfg.N))
+            assert np.array_equal(read.pop(), own)
+        # the whole quick run: the shared batch and the pathwise row's 200 x 20
+        draws.clear()
+        verify.run_verification(1, "quick")
+        assert len(draws) == 2
+        assert sum(cfg.paths * cfg.N for cfg, _ in draws) == 6_004_000
 
 
 def own_rows(scale, seed):
