@@ -102,6 +102,26 @@ def test_resource_guard_counts_the_checkpoint_wins(monkeypatch):
     assert refused_peak(cfg) < 10**6
 
 
+def record_step_major(monkeypatch, min_paths=None) -> list:
+    """Record the (paths, N) of each chunk that takes the step-major pass,
+    with `_STEP_MAJOR_MIN_PATHS` set to `min_paths` if one is given."""
+    calls = []
+    step_major_pass = martingale_lab._step_major_pass
+
+    def recording_pass(batch, rows, u, won):
+        calls.append(u.shape)
+        return step_major_pass(batch, rows, u, won)
+
+    if min_paths is not None:
+        monkeypatch.setattr(martingale_lab, "_STEP_MAJOR_MIN_PATHS", min_paths)
+    monkeypatch.setattr(martingale_lab, "_step_major_pass", recording_pass)
+    return calls
+
+
+# _STEP_MAJOR_MIN_PATHS that forces each pass on every one-tile chunk
+PASSES = {"step-major": 1, "along-path": 10**9}
+
+
 def traced_peak(cfg: SimConfig, checkpoints=None) -> int:
     tracemalloc.start()
     try:
@@ -117,6 +137,18 @@ def test_simulate_peak_memory_is_bounded_per_path_step():
     # peak stays below 1.5 float64 per path-step
     cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=500, paths=2000, seed=1)
     assert traced_peak(cfg) <= 1.5 * 8 * cfg.paths * cfg.N
+
+
+@pytest.mark.parametrize("cfg, step_major", [
+    (SimConfig(w0=1.0, p=0.52, F=0.04, N=500, paths=2000, seed=1), True),  # 836-path chunks
+    (SimConfig(w0=1.0, p=0.52, F=0.04, N=5000, paths=300, seed=1), False),  # 92-path chunks
+], ids=["step-major", "along-path"])
+def test_each_pass_peak_memory_is_bounded_per_path_step(monkeypatch, cfg, step_major):
+    # the step-major pass keeps the same 9 B a path-step as the along-path
+    # pass: its (N, paths) outcome table replaces the (paths, N) one
+    calls = record_step_major(monkeypatch)
+    assert traced_peak(cfg) <= 1.5 * 8 * cfg.paths * cfg.N
+    assert bool(calls) == step_major
 
 
 def test_simulate_peak_memory_does_not_grow_with_horizon():
@@ -344,6 +376,59 @@ def test_checkpoint_columns_are_the_runs_of_their_horizons(monkeypatch, name, bu
                               simulate(replace(cfg, N=c), checkpoints=()).wins)
 
 
+@pytest.mark.parametrize("name", KERNEL_CONFIGS)
+def test_both_passes_keep_the_kernel_bytes(monkeypatch, name):
+    # every batch array, the checkpoint win counts included, is the same
+    # from either pass, at the default checkpoints, one inside the horizon
+    # and the first and last steps. A chunk of exactly the threshold's width
+    # takes the step-major pass; count-only chunks and one-path time tiles
+    # take the along-path pass whatever the threshold
+    cfg = KERNEL_CONFIGS[name]
+    calls = record_step_major(monkeypatch)
+    fields = ("wins", "checkpoint_wins", "checkpoint_wealth", "checkpoint_running_max")
+    for checkpoints in (None, (25, 60, 99), (1,), (1, 100), ()):
+        batches = []
+        for min_paths in (cfg.paths, cfg.paths + 1):
+            monkeypatch.setattr(martingale_lab, "_STEP_MAJOR_MIN_PATHS", min_paths)
+            calls.clear()
+            batches.append(simulate(cfg, checkpoints=checkpoints))
+            step_major = min_paths == cfg.paths and checkpoints != ()
+            assert calls == ([(cfg.paths, cfg.N)] if step_major else [])
+        for field in fields:
+            assert np.array_equal(getattr(batches[0], field), getattr(batches[1], field))
+    default = simulate(cfg)
+    monkeypatch.setattr(martingale_lab, "_STEP_MAJOR_MIN_PATHS", 1)
+    for budget, chunks in ((4000, [(2, cfg.N)] * (cfg.paths // 2)), (296, [])):
+        monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
+        calls.clear()
+        small = simulate(cfg)
+        assert calls == chunks
+        for field in fields:
+            assert np.array_equal(getattr(small, field), getattr(default, field))
+
+
+def test_prefix_contract_holds_across_passes(monkeypatch):
+    # at the default threshold the horizon-2000 batch runs along each path
+    # (226-path chunks) while its own horizon-1000 run takes the step-major
+    # pass (a 440-path chunk), and the count-only draws always run along each
+    # path; the column at I is still bit for bit the run of horizon I
+    calls = record_step_major(monkeypatch)
+    cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=2000, paths=500, seed=3)
+    cps = (50, 1000)
+    batch = simulate(cfg, checkpoints=cps)
+    assert calls == []
+    for j, c in enumerate(cps):
+        own = simulate(replace(cfg, N=c))
+        assert calls[0] == (440 if c == 1000 else cfg.paths, c)
+        calls.clear()
+        assert np.array_equal(batch.checkpoint_wealth[:, j], own.checkpoint_wealth[:, -1])
+        assert np.array_equal(batch.checkpoint_running_max[:, j], own.checkpoint_running_max[:, -1])
+        assert np.array_equal(batch.checkpoint_wins[:, j], own.checkpoint_wins[:, -1])
+        assert np.array_equal(batch.checkpoint_wins[:, j],
+                              simulate(replace(cfg, N=c), checkpoints=()).wins)
+    assert calls == []
+
+
 def test_checkpoints_must_increase_within_the_horizon():
     cfg = small_config(N=100)
     assert simulate(cfg).checkpoints == cfg.checkpoints
@@ -408,9 +493,13 @@ def test_wealth_follows_exact_multiplicative_recursion():
         assert_follows_literal_recursion(simulate(cfg))
 
 
+# the stakes at which the factor map is checked bit for bit
+EDGE_STAKES = {"zero": 0.0, "subnormal": 5e-324, "third": 1 / 3, "three-quarters": 0.75,
+               "below-one": math.nextafter(1.0, 0.0), "one": 1.0}
+
+
 @pytest.mark.parametrize("budget", [None, 296], ids=["default", "tiles-37"])
-@pytest.mark.parametrize("F", [0.0, 5e-324, 1 / 3, 0.75, math.nextafter(1.0, 0.0), 1.0],
-                         ids=["zero", "subnormal", "third", "three-quarters", "below-one", "one"])
+@pytest.mark.parametrize("F", EDGE_STAKES.values(), ids=EDGE_STAKES.keys())
 def test_factor_map_is_exact_at_edge_stakes(monkeypatch, F, budget):
     # the step factors are written as integers on their bits: a win is 1.0 + F
     # and a loss 1.0 - F exactly, at F = 0, at a stake that rounds both to
@@ -418,6 +507,14 @@ def test_factor_map_is_exact_at_edge_stakes(monkeypatch, F, budget):
     if budget is not None:
         monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
     assert_follows_literal_recursion(simulate(small_config(N=100, paths=20, F=F)))
+
+
+@pytest.mark.parametrize("F", EDGE_STAKES.values(), ids=EDGE_STAKES.keys())
+@pytest.mark.parametrize("pass_name", PASSES)
+def test_each_pass_follows_the_literal_recursion(monkeypatch, pass_name, F):
+    calls = record_step_major(monkeypatch, PASSES[pass_name])
+    assert_follows_literal_recursion(simulate(small_config(N=100, paths=20, F=F)))
+    assert calls == ([(20, 100)] if pass_name == "step-major" else [])
 
 
 def test_win_counts_consistent_with_final_wealth():
