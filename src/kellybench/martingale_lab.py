@@ -30,28 +30,28 @@ win count, W(I) and max W(0..I) at a checkpoint do not depend on N or on
 the other checkpoints, and the draw never reads F; so one batch serves
 every check on a prefix of its horizon, at every stake.
 
-After the draw a chunk takes one of two passes, chosen by its shape alone.
-A chunk that writes wealth, holds its horizon in one tile and has at least
-`_STEP_MAJOR_MIN_PATHS` (256) paths runs step-major: its outcomes are an
-(N, paths) table, the recursion is one multiply a step across all its
-paths, and each segment between checkpoints is counted and maxed in one
-reduction over its rows. Any other chunk runs along each path (`cumprod`,
-`einsum` and `maximum.reduceat` over a (paths, N) table). A step costs
-the step-major pass about 0.4 us of call overhead whatever the width, so
-it pays only where a step spans enough paths. A whole chunk, draw
-included, took about 23% less time at 1 306 x 300 and 18% less at
-440 x 1 000, broke even at 226 x 2 000 and took about 27% more at
-92 x 5 000 (2 shared Xeon vCPUs, numpy 2.4). The two passes write the
-same bytes: each path takes the same products left to right with one
-rounding per step, max does not round, and the counts are integers.
+Every chunk runs one kernel. Its paths are drawn a time tile at a time,
+one row a path, and their outcomes are written to a (tile, paths) byte
+table; each segment between checkpoints is counted and maxed in one
+reduction over its rows, and the win count, W and max W are carried from
+tile to tile. A chunk of at least `_TILE_PATHS` (256) paths runs the
+recursion one multiply a row across its paths. A row costs about 0.4 us of
+call overhead whatever its width, so a narrower chunk runs `cumprod` down
+each path of the same buffer instead. Either way each path takes the same
+products left to right with one rounding per step, max does not round and
+the counts are integers, so the bytes do not depend on the chunk or tile
+shape.
 
 A chunk's working set is fixed in bytes, not in paths: its draws are
 overwritten by the step factors, one exact integer multiply-add on their
 IEEE-754 bits, and then by the wealth, so a path-step costs 8 B for the
-draw and 1 B for its outcome, and a chunk holds as many paths as fit in
-`_CHUNK_BYTES`. A horizon whose draws alone exceed that
-budget is cut into time tiles of one path each; W, max W and the win count
-are carried from tile to tile, so memory does not grow with N. Ruin is a
+draw and 1 B for its outcome, and a path under 0.5 kB for its seed state.
+A tile is the horizon, or as many steps as fit in `_CHUNK_BYTES` for
+min(paths, `_TILE_PATHS`) paths, and a chunk holds as many paths of a tile
+as fit: horizons up to 1 763 steps are one tile, longer ones run in
+256-path chunks of 1 763-step tiles, and a lone path in tiles of about
+466 000 steps. A path's stream goes on in its next tile from the state
+words its last draw left, so memory does not grow with N. Ruin is a
 loss at full stake, read from the win counts, never from a wealth that
 underflows to 0.0.
 
@@ -83,10 +83,10 @@ MAX_BATCH_BYTES = 1 << 30
 # working-set budget of one chunk: 8 B of draws and 1 B of outcomes a path-step
 _CHUNK_BYTES = 4 << 20
 
-# fewest paths of a one-tile chunk that take the step-major pass (see the
-# module docstring); a chunk holds _CHUNK_BYTES / (9 N + 512) paths, so this
-# covers horizons up to about 1 760 steps
-_STEP_MAJOR_MIN_PATHS = 256
+# paths a time tile is sized for, and the fewest that run the recursion one
+# multiply a row across the chunk (see the module docstring): a tile holds
+# the horizon up to 1 763 steps, and 256 paths of 1 763 steps past it
+_TILE_PATHS = 256
 
 # fewest paths whose log drift has a meaningful standard error
 _MIN_DRIFT_PATHS = 100
@@ -301,65 +301,19 @@ def _write_factors(won: np.ndarray, x: np.ndarray, F: float) -> None:
     np.add(bits, lose, out=bits)
 
 
-def _step_major_pass(batch: TrajectoryBatch, rows: slice, u: np.ndarray,
-                     won: np.ndarray) -> None:
-    """Count, multiply and take the max of a chunk's drawn paths `u`, each
-    step in one call across all of them, into their `rows` of the batch.
+def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) -> None:
+    """Simulate paths [start, stop) into their rows of the batch, `tile`
+    steps at a time, by the one kernel of the module docstring.
 
-    The outcomes are written to `won`, an (N, paths) byte table, the same
-    1 B a path-step as the along-path pass's; once it is written the draws
-    are spent, and their buffer, viewed as (last checkpoint, paths), takes
-    the factors and then the wealth, each row from the one before it.
+    Once a tile's outcomes are written its draws are spent, and their
+    buffer, viewed as (steps, paths), takes the step factors and then the
+    wealth, up to the last checkpoint; the tiles past it only count wins.
     """
     config = batch.config
     cps = batch.checkpoints
-    paths = u.shape[0]
-    np.less(u.T, config.p, out=won)
-    wins = batch.wins[rows]
-    # each segment (previous checkpoint, checkpoint], and the tail, is summed
-    # into int32 and added to the count, which is then the checkpoint's
-    bounds = [0, *cps, config.N]
-    for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
-        wins += np.add.reduce(won[a:b].view(np.uint8), axis=0, dtype=np.int32)
-        if j < len(cps):
-            batch.checkpoint_wins[rows, j] = wins
-    x = u.reshape(-1)[:cps[-1] * paths].reshape(cps[-1], paths)
-    _write_factors(won[:cps[-1]], x, config.F)
-    # W(I) = W(I-1) * (1 + F Z(I)) with one rounding per step, as cumprod
-    # takes it; iterating the rows costs half of indexing each pair
-    prev = x[0]
-    prev *= config.w0
-    for step in x[1:]:
-        np.multiply(prev, step, out=step)
-        prev = step
-    top = np.full(paths, config.w0)
-    for j, (a, b) in enumerate(zip(bounds, cps)):
-        np.maximum(top, np.maximum.reduce(x[a:b], axis=0), out=top)
-        batch.checkpoint_running_max[rows, j] = top
-        batch.checkpoint_wealth[rows, j] = x[b - 1]
-
-
-def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) -> None:
-    """Simulate paths [start, stop) into their rows of the batch, `tile`
-    steps at a time; a chunk cut into more than one tile is one path.
-
-    Every path's first tile is drawn before any is read; the draw never
-    reads F. A chunk that writes wealth, holds its horizon in one tile and
-    has at least `_STEP_MAJOR_MIN_PATHS` paths then takes
-    `_step_major_pass`, one ufunc call a step across all its paths. Every
-    other chunk takes the along-path pass below, whose calls each run along
-    the paths of a tile: a narrow chunk would pay the fixed cost of a call
-    on too few paths, and a count-only chunk has no recursion to save on.
-    Both passes write the same bytes (see the module docstring).
-
-    In the along-path pass each tile's draws are counted into the chunk's
-    win counts over all N steps, then overwritten by the wealth up to the
-    last checkpoint; the tiles past it only count wins.
-    """
-    config = batch.config
-    cps = np.asarray(batch.checkpoints, dtype=np.int64)
-    last = batch.checkpoints[-1] if batch.checkpoints else 0
+    last = cps[-1] if cps else 0
     rows = slice(start, stop)
+    paths = stop - start
     wins = batch.wins[rows]
     # one native generator, moved to each path's substream by writing its
     # state words, through a view that lives no longer than the generator
@@ -367,58 +321,61 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
     gen = np.random.Generator(bit_gen)
     words, layout = _pcg64_words(bit_gen)
     states = _pcg64_states(config.seed, start, stop)[:, layout]
-    step_major = last > 0 and tile == config.N and stop - start >= _STEP_MAJOR_MIN_PATHS
     # the working set, both buffers made before the draw; a shorter last tile
     # uses the front of each buffer
-    u = np.empty((stop - start, tile))
-    win = np.empty(u.T.shape if step_major else u.shape, dtype=bool)
-    for row, path in zip(states, u):
-        words[...] = row
-        gen.random(out=path)
-    if step_major:
-        _step_major_pass(batch, rows, u, win)
-        return
-    # carried from tile to tile: W and max W(0..I) where the tile starts
-    # (neither is written in place, so both start as one array)
-    wealth = top = np.full(stop - start, config.w0)
+    draws = np.empty(paths * tile)
+    outcomes = np.empty(paths * tile, dtype=bool)
+    # carried from tile to tile: W and max W(0..I) where the tile starts,
+    # scalars until the first tile's wealth: an array made before the draw
+    # made perfbench's mc_wide about 3% slower
+    wealth = top = config.w0
+    j = 0  # the column of the tile's first checkpoint
     for t0 in range(0, config.N, tile):
         width = min(tile, config.N - t0)
-        x, won = u[:, :width], win[:, :width]
-        if t0:  # the one path's stream goes on where the last tile stopped
-            gen.random(out=x[0])
-        np.less(x, config.p, out=won)
-        in_tile = (cps > t0) & (cps <= t0 + width)
-        ends = cps[in_tile] - t0  # the tile's checkpoints, as columns from 1
-        # count each segment (previous checkpoint, checkpoint] of the tile, and
-        # its tail, into the carried count, which is then the checkpoint's.
-        # einsum sums a segment's outcome bytes into int32, where any tile's
-        # count fits; a per-segment int64 sum takes about twice as long
-        bounds = [0, *ends.tolist(), width]
-        cols = np.flatnonzero(in_tile)
-        for j, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            wins += np.einsum("ij->i", won[:, a:b].view(np.uint8), dtype=np.int32)
-            if j < cols.size:
-                batch.checkpoint_wins[rows, cols[j]] = wins
-        if t0 >= last:
-            continue
-        # no wealth past the last checkpoint: a prefix of the draws is its own
-        # recursion, so the columns written are those of the whole horizon
-        width = min(width, last - t0)
-        x, won = x[:, :width], won[:, :width]
-        _write_factors(won, x, config.F)
-        # fold the carried wealth (w0 on the first tile) into the first step so
-        # cumprod performs the literal recursion W(I) = W(I-1) * (1 + F Z(I))
-        # with one rounding per step
-        x[:, 0] *= wealth
-        np.cumprod(x, axis=1, out=x)
-        batch.checkpoint_wealth[rows, in_tile] = x[:, ends - 1]
-        # max over each segment (previous checkpoint, checkpoint] of the tile,
-        # then a prefix max from the carried max; max does not round, so this
-        # is max W(0..I) exactly
-        seg = np.maximum.reduceat(x, np.r_[0, ends[ends < width]], axis=1)
-        run = np.maximum.accumulate(np.maximum(top[:, None], seg), axis=1)
-        batch.checkpoint_running_max[rows, in_tile] = run[:, :ends.size]
-        wealth, top = x[:, -1].copy(), run[:, -1]
+        u = draws[:paths * width].reshape(paths, width)
+        carry = t0 + width < config.N  # the next tile draws on from these words
+        for state, path in zip(states, u):
+            words[...] = state
+            gen.random(out=path)
+            if carry:
+                state[...] = words
+        won = outcomes[:width * paths].reshape(width, paths)
+        np.less(u.T, config.p, out=won)
+        ends = [c - t0 for c in cps[j:] if c <= t0 + width]  # rows from 1
+        # each segment (previous checkpoint, checkpoint] of the tile, and its
+        # tail, is summed into int32 and added to the carried count, which is
+        # then the checkpoint's
+        bounds = [0, *ends, width]
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            wins += np.add.reduce(won[a:b].view(np.uint8), axis=0, dtype=np.int32)
+            if k < len(ends):
+                batch.checkpoint_wins[rows, j + k] = wins
+        if t0 < last:
+            steps = min(width, last - t0)
+            x = draws[:steps * paths].reshape(steps, paths)
+            _write_factors(won[:steps], x, config.F)
+            # W(I) = W(I-1) * (1 + F Z(I)), one rounding per step, from the
+            # carried wealth (w0 on the first tile)
+            if paths >= _TILE_PATHS:
+                # iterating the rows costs half of indexing each pair
+                prev = wealth
+                for step in x:
+                    np.multiply(prev, step, out=step)
+                    prev = step
+            else:
+                x[0] *= wealth
+                np.cumprod(x, axis=0, out=x)
+            # max does not round, so the max of each segment's max is max W(0..I)
+            bounds = [0, *ends]
+            if bounds[-1] < steps:
+                bounds.append(steps)
+            for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+                top = np.maximum(np.maximum.reduce(x[a:b], axis=0), top)
+                if k < len(ends):
+                    batch.checkpoint_running_max[rows, j + k] = top
+                    batch.checkpoint_wealth[rows, j + k] = x[b - 1]
+            wealth = x[-1].copy()
+        j += len(ends)
 
 
 def simulate(config: SimConfig, checkpoints: tuple[int, ...] | None = None) -> TrajectoryBatch:
@@ -449,11 +406,11 @@ def simulate(config: SimConfig, checkpoints: tuple[int, ...] | None = None) -> T
         raise ResourceGuardError(
             f"{config.paths} paths x {len(checkpoints)} checkpoints exceed "
             f"{MAX_BATCH_BYTES} B of batch arrays")
-    # the horizon is one tile unless one path's draws exceed the budget
-    tile = min(config.N, _CHUNK_BYTES // 8)
-    # a path's draws and outcomes, plus under 0.5 kB for its seed state: the
-    # build peaks at about 160 B whatever the seed's size, and the draw
-    # holds 32 B
+    # a path's tile of draws and outcomes, plus under 0.5 kB for its seed
+    # state: the build peaks at about 160 B whatever the seed's size, and the
+    # draw holds 32 B. A tile is the horizon, or as many steps as fit in the
+    # budget for _TILE_PATHS paths (or all of them, if fewer)
+    tile = max(1, min(config.N, (_CHUNK_BYTES // min(config.paths, _TILE_PATHS) - 512) // 9))
     chunk = max(1, _CHUNK_BYTES // (9 * tile + 512))
     shape = (config.paths, len(checkpoints))
     batch = TrajectoryBatch(

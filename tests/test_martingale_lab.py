@@ -102,23 +102,38 @@ def test_resource_guard_counts_the_checkpoint_wins(monkeypatch):
     assert refused_peak(cfg) < 10**6
 
 
-def record_step_major(monkeypatch, min_paths=None) -> list:
-    """Record the (paths, N) of each chunk that takes the step-major pass,
-    with `_STEP_MAJOR_MIN_PATHS` set to `min_paths` if one is given."""
+def record_cumprod(monkeypatch, tile_paths=None) -> list:
+    """Record the (steps, paths) of each tile whose wealth `cumprod` takes
+    down its paths, with `_TILE_PATHS` set to `tile_paths` if one is given;
+    every other tile that writes wealth runs the row loop."""
     calls = []
-    step_major_pass = martingale_lab._step_major_pass
+    cumprod = np.cumprod
 
-    def recording_pass(batch, rows, u, won):
-        calls.append(u.shape)
-        return step_major_pass(batch, rows, u, won)
+    def recording_cumprod(x, *args, **kwargs):
+        calls.append(x.shape)
+        return cumprod(x, *args, **kwargs)
 
-    if min_paths is not None:
-        monkeypatch.setattr(martingale_lab, "_STEP_MAJOR_MIN_PATHS", min_paths)
-    monkeypatch.setattr(martingale_lab, "_step_major_pass", recording_pass)
+    if tile_paths is not None:
+        monkeypatch.setattr(martingale_lab, "_TILE_PATHS", tile_paths)
+    monkeypatch.setattr(martingale_lab.np, "cumprod", recording_cumprod)
     return calls
 
 
-# _STEP_MAJOR_MIN_PATHS that forces each pass on every one-tile chunk
+def record_chunks(monkeypatch) -> list:
+    """Record the (paths, tile) of each chunk that `simulate` runs."""
+    calls = []
+    simulate_chunk = martingale_lab._simulate_chunk
+
+    def recording_chunk(batch, start, stop, tile):
+        calls.append((stop - start, tile))
+        return simulate_chunk(batch, start, stop, tile)
+
+    monkeypatch.setattr(martingale_lab, "_simulate_chunk", recording_chunk)
+    return calls
+
+
+# _TILE_PATHS that forces each recursion on every chunk: the row loop
+# ("step-major") or cumprod down each path ("along-path")
 PASSES = {"step-major": 1, "along-path": 10**9}
 
 
@@ -139,25 +154,35 @@ def test_simulate_peak_memory_is_bounded_per_path_step():
     assert traced_peak(cfg) <= 1.5 * 8 * cfg.paths * cfg.N
 
 
-@pytest.mark.parametrize("cfg, step_major", [
-    (SimConfig(w0=1.0, p=0.52, F=0.04, N=500, paths=2000, seed=1), True),  # 836-path chunks
-    (SimConfig(w0=1.0, p=0.52, F=0.04, N=5000, paths=300, seed=1), False),  # 92-path chunks
+@pytest.mark.parametrize("cfg, cumprods", [
+    # 836-path chunks, each in one tile: the row loop
+    (SimConfig(w0=1.0, p=0.52, F=0.04, N=500, paths=2000, seed=1), []),
+    # one 200-path chunk in 2 273-step tiles: cumprod
+    (SimConfig(w0=1.0, p=0.52, F=0.04, N=5000, paths=200, seed=1),
+     [(2273, 200), (2273, 200), (454, 200)]),
 ], ids=["step-major", "along-path"])
-def test_each_pass_peak_memory_is_bounded_per_path_step(monkeypatch, cfg, step_major):
-    # the step-major pass keeps the same 9 B a path-step as the along-path
-    # pass: its (N, paths) outcome table replaces the (paths, N) one
-    calls = record_step_major(monkeypatch)
+def test_each_pass_peak_memory_is_bounded_per_path_step(monkeypatch, cfg, cumprods):
+    # either recursion keeps 9 B a path-step: the (tile, paths) outcome
+    # table, and the draws that the factors and then the wealth overwrite
+    calls = record_cumprod(monkeypatch)
     assert traced_peak(cfg) <= 1.5 * 8 * cfg.paths * cfg.N
-    assert bool(calls) == step_major
+    assert calls == cumprods
 
 
 def test_simulate_peak_memory_does_not_grow_with_horizon():
-    # one path's draws exceed the chunk budget, so the horizon is cut into
-    # time tiles: the traced peak is the budget's, whatever N is
-    peaks = [traced_peak(SimConfig(w0=1.0, p=0.5, F=0.01, N=N, paths=1, seed=1))
-             for N in (1_000_000, 2_000_000)]
-    assert peaks[1] <= 1.01 * peaks[0]
-    assert peaks[1] <= 1.25 * martingale_lab._CHUNK_BYTES
+    # past a tile's steps the horizon is cut into time tiles: the traced
+    # peak, less the batch's own arrays, is the budget's whatever N is, for
+    # one path (466 000-step tiles) and for 300 (256 x 1 763-step tiles).
+    # The first call in a process pays one-time allocations, so an untraced
+    # call comes first.
+    simulate(SimConfig(w0=1.0, p=0.5, F=0.01, N=1000, paths=1, seed=1))
+    for paths, horizons in ((1, (1_000_000, 2_000_000)), (300, (4000, 8000))):
+        peaks = []
+        for N in horizons:
+            cfg = SimConfig(w0=1.0, p=0.5, F=0.01, N=N, paths=paths, seed=1)
+            peaks.append(traced_peak(cfg) - paths * (8 + 20 * len(cfg.checkpoints)))
+        assert peaks[1] <= 1.01 * peaks[0]
+        assert max(peaks) <= 1.25 * martingale_lab._CHUNK_BYTES
 
 
 @pytest.mark.parametrize("cfg", [
@@ -297,60 +322,69 @@ KERNEL_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("budget, tile, chunk", [
-    (4000, 100, 2),  # 2-path chunks, the horizon in one tile
-    (296, 37, 1),  # 37-step tiles: checkpoints inside tiles, a short last tile
-    (200, 25, 1),  # 25-step tiles: every checkpoint on a tile edge
-    (8, 1, 1),  # a tile per step
-])
+def tile_budget(paths: int, tile: int) -> int:
+    """The `_CHUNK_BYTES` for which `simulate` cuts the batch into `tile`-step
+    tiles, `paths` paths a chunk, when `_TILE_PATHS` is `paths`: 9 B a
+    path-step and 512 B a path."""
+    return paths * (9 * tile + 512)
+
+
+# the chunk shapes of the 30-path, 100-step KERNEL_CONFIGS: _TILE_PATHS is
+# set to the chunk width, and _CHUNK_BYTES to the budget of its tile. The
+# ids are kept from an earlier shape rule, whose budgets they name; the
+# tile and chunk they name are these
+CHUNK_SHAPES = [
+    # 2-path chunks, the horizon in one tile
+    pytest.param(2, 100, id="4000-100-2"),
+    # 37-step tiles: checkpoints inside tiles, a short last tile
+    pytest.param(1, 37, id="296-37-1"),
+    # 25-step tiles: every checkpoint on a tile edge
+    pytest.param(1, 25, id="200-25-1"),
+    # a tile per step
+    pytest.param(1, 1, id="8-1-1"),
+]
+
+
+@pytest.mark.parametrize("chunk, tile", CHUNK_SHAPES)
 @pytest.mark.parametrize("name", KERNEL_CONFIGS)
-def test_chunks_and_time_tiles_keep_the_bytes(monkeypatch, name, budget, tile, chunk):
+def test_chunks_and_time_tiles_keep_the_bytes(monkeypatch, name, chunk, tile):
+    # the default is one 30-path chunk in one tile, whose wealth cumprod
+    # takes; these chunks are at least _TILE_PATHS wide and take the row loop
     cfg = KERNEL_CONFIGS[name]
     default = simulate(cfg)
-    calls = []
-    simulate_chunk = martingale_lab._simulate_chunk
-
-    def recording_chunk(batch, start, stop, steps):
-        calls.append((stop - start, steps))
-        return simulate_chunk(batch, start, stop, steps)
-
-    monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
-    monkeypatch.setattr(martingale_lab, "_simulate_chunk", recording_chunk)
+    calls = record_chunks(monkeypatch)
+    cumprods = record_cumprod(monkeypatch, chunk)
+    monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", tile_budget(chunk, tile))
     small = simulate(cfg)
     assert calls == [(chunk, tile)] * (cfg.paths // chunk)
+    assert cumprods == []
     assert np.array_equal(small.wins, default.wins)
     assert np.array_equal(small.checkpoint_wealth, default.checkpoint_wealth)
     assert np.array_equal(small.checkpoint_running_max, default.checkpoint_running_max)
 
 
-@pytest.mark.parametrize("budget, tile, chunk", [
-    (None, 100, 30),  # the default budget: the batch in one chunk
-    (4000, 100, 2),
-    (296, 37, 1),
-    (200, 25, 1),
-    (8, 1, 1),
+@pytest.mark.parametrize("chunk, tile", [
+    # the default budget: the batch in one chunk
+    pytest.param(30, 100, id="None-100-30"),
+    *CHUNK_SHAPES,
 ])
 @pytest.mark.parametrize("name", KERNEL_CONFIGS)
-def test_win_counts_equal_simulate_wins(monkeypatch, name, budget, tile, chunk):
+def test_win_counts_equal_simulate_wins(monkeypatch, name, chunk, tile):
     cfg = KERNEL_CONFIGS[name]
     wins = simulate(cfg).wins
-    calls = []
-    simulate_chunk = martingale_lab._simulate_chunk
-
-    def recording_chunk(batch, start, stop, steps):
-        calls.append((stop - start, steps))
-        return simulate_chunk(batch, start, stop, steps)
-
-    if budget is not None:
-        monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
-    monkeypatch.setattr(martingale_lab, "_simulate_chunk", recording_chunk)
+    calls = record_chunks(monkeypatch)
+    if chunk < cfg.paths:
+        monkeypatch.setattr(martingale_lab, "_TILE_PATHS", chunk)
+        monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", tile_budget(chunk, tile))
     counts = simulate(cfg, checkpoints=()).wins
     assert calls == [(chunk, tile)] * (cfg.paths // chunk)
     assert counts.dtype == wins.dtype
     assert np.array_equal(counts, wins)
 
 
-@pytest.mark.parametrize("budget", [None, 4000, 296, 200, 8],
+# 10 paths: 7-path chunks of one step, one chunk in 37-, 25- and 1-step tiles
+@pytest.mark.parametrize("budget", [None, 4000, tile_budget(10, 37), tile_budget(10, 25),
+                                    tile_budget(10, 1)],
                          ids=["default", "chunks", "tiles-37", "tiles-25", "tile-per-step"])
 @pytest.mark.parametrize("name", KERNEL_CONFIGS)
 def test_checkpoint_columns_are_the_runs_of_their_horizons(monkeypatch, name, budget):
@@ -379,54 +413,62 @@ def test_checkpoint_columns_are_the_runs_of_their_horizons(monkeypatch, name, bu
 @pytest.mark.parametrize("name", KERNEL_CONFIGS)
 def test_both_passes_keep_the_kernel_bytes(monkeypatch, name):
     # every batch array, the checkpoint win counts included, is the same
-    # from either pass, at the default checkpoints, one inside the horizon
-    # and the first and last steps. A chunk of exactly the threshold's width
-    # takes the step-major pass; count-only chunks and one-path time tiles
-    # take the along-path pass whatever the threshold
+    # from either recursion, at the default checkpoints, one inside the
+    # horizon and the first and last steps. A chunk of exactly _TILE_PATHS
+    # paths runs the row loop and one a path narrower runs cumprod, on the
+    # same one-tile chunk; a count-only draw runs neither
     cfg = KERNEL_CONFIGS[name]
-    calls = record_step_major(monkeypatch)
+    default = simulate(cfg)
+    calls = record_cumprod(monkeypatch)
     fields = ("wins", "checkpoint_wins", "checkpoint_wealth", "checkpoint_running_max")
     for checkpoints in (None, (25, 60, 99), (1,), (1, 100), ()):
         batches = []
-        for min_paths in (cfg.paths, cfg.paths + 1):
-            monkeypatch.setattr(martingale_lab, "_STEP_MAJOR_MIN_PATHS", min_paths)
+        for tile_paths in (cfg.paths, cfg.paths + 1):
+            monkeypatch.setattr(martingale_lab, "_TILE_PATHS", tile_paths)
             calls.clear()
             batches.append(simulate(cfg, checkpoints=checkpoints))
-            step_major = min_paths == cfg.paths and checkpoints != ()
-            assert calls == ([(cfg.paths, cfg.N)] if step_major else [])
+            last = batches[-1].checkpoints[-1] if checkpoints != () else 0
+            assert calls == ([(last, cfg.paths)] if tile_paths > cfg.paths and last else [])
         for field in fields:
             assert np.array_equal(getattr(batches[0], field), getattr(batches[1], field))
-    default = simulate(cfg)
-    monkeypatch.setattr(martingale_lab, "_STEP_MAJOR_MIN_PATHS", 1)
-    for budget, chunks in ((4000, [(2, cfg.N)] * (cfg.paths // 2)), (296, [])):
-        monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
+    # the row loop on 2-path chunks and on one-path 37-step tiles
+    chunks = record_chunks(monkeypatch)
+    for chunk, tile in ((2, cfg.N), (1, 37)):
+        monkeypatch.setattr(martingale_lab, "_TILE_PATHS", chunk)
+        monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", tile_budget(chunk, tile))
+        chunks.clear()
         calls.clear()
         small = simulate(cfg)
-        assert calls == chunks
+        assert chunks == [(chunk, tile)] * (cfg.paths // chunk)
+        assert calls == []
         for field in fields:
             assert np.array_equal(getattr(small, field), getattr(default, field))
 
 
 def test_prefix_contract_holds_across_passes(monkeypatch):
-    # at the default threshold the horizon-2000 batch runs along each path
-    # (226-path chunks) while its own horizon-1000 run takes the step-major
-    # pass (a 440-path chunk), and the count-only draws always run along each
-    # path; the column at I is still bit for bit the run of horizon I
-    calls = record_step_major(monkeypatch)
+    # the horizon-2000 batch runs in two 1 763-step tiles, a 256-path chunk
+    # on the row loop and a 244-path one on cumprod, while its own run of
+    # horizon 50 is one chunk and that of horizon 1000 holds its horizon in
+    # one tile (a 440-path chunk on the row loop, a 60-path one on cumprod);
+    # the column at I is still bit for bit the run of horizon I
+    chunks = record_chunks(monkeypatch)
+    calls = record_cumprod(monkeypatch)
     cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=2000, paths=500, seed=3)
-    cps = (50, 1000)
+    cps = (50, 1000, 1900)
     batch = simulate(cfg, checkpoints=cps)
-    assert calls == []
+    assert chunks == [(256, 1763), (244, 1763)]
+    assert calls == [(1763, 244), (137, 244)]
+    own_chunks = {50: [(500, 50)], 1000: [(440, 1000), (60, 1000)],
+                  1900: [(256, 1763), (244, 1763)]}
     for j, c in enumerate(cps):
+        chunks.clear()
         own = simulate(replace(cfg, N=c))
-        assert calls[0] == (440 if c == 1000 else cfg.paths, c)
-        calls.clear()
+        assert chunks == own_chunks[c]
         assert np.array_equal(batch.checkpoint_wealth[:, j], own.checkpoint_wealth[:, -1])
         assert np.array_equal(batch.checkpoint_running_max[:, j], own.checkpoint_running_max[:, -1])
         assert np.array_equal(batch.checkpoint_wins[:, j], own.checkpoint_wins[:, -1])
         assert np.array_equal(batch.checkpoint_wins[:, j],
                               simulate(replace(cfg, N=c), checkpoints=()).wins)
-    assert calls == []
 
 
 def test_checkpoints_must_increase_within_the_horizon():
@@ -498,7 +540,7 @@ EDGE_STAKES = {"zero": 0.0, "subnormal": 5e-324, "third": 1 / 3, "three-quarters
                "below-one": math.nextafter(1.0, 0.0), "one": 1.0}
 
 
-@pytest.mark.parametrize("budget", [None, 296], ids=["default", "tiles-37"])
+@pytest.mark.parametrize("budget", [None, tile_budget(20, 37)], ids=["default", "tiles-37"])
 @pytest.mark.parametrize("F", EDGE_STAKES.values(), ids=EDGE_STAKES.keys())
 def test_factor_map_is_exact_at_edge_stakes(monkeypatch, F, budget):
     # the step factors are written as integers on their bits: a win is 1.0 + F
@@ -512,9 +554,44 @@ def test_factor_map_is_exact_at_edge_stakes(monkeypatch, F, budget):
 @pytest.mark.parametrize("F", EDGE_STAKES.values(), ids=EDGE_STAKES.keys())
 @pytest.mark.parametrize("pass_name", PASSES)
 def test_each_pass_follows_the_literal_recursion(monkeypatch, pass_name, F):
-    calls = record_step_major(monkeypatch, PASSES[pass_name])
+    calls = record_cumprod(monkeypatch, PASSES[pass_name])
     assert_follows_literal_recursion(simulate(small_config(N=100, paths=20, F=F)))
-    assert calls == ([(20, 100)] if pass_name == "step-major" else [])
+    assert calls == ([] if pass_name == "step-major" else [(100, 20)])
+
+
+@pytest.mark.parametrize("paths, N, checkpoints, tile_paths, budget, chunks, cumprods", [
+    # one 30-path chunk in 37-step tiles: cumprod
+    (30, 100, (20, 50, 74, 90), None, tile_budget(30, 37), [(30, 37)],
+     [(37, 30), (37, 30), (16, 30)]),
+    # three 10-path chunks in 37-step tiles: the row loop
+    (30, 100, (20, 50, 74, 90), 10, tile_budget(10, 37), [(10, 37)] * 3, []),
+    # the default budget: a 256-path chunk on the row loop and a 4-path one
+    # on cumprod, in 1 763-step tiles
+    (260, 2000, (1000, 1763, 1900), None, None, [(256, 1763), (4, 1763)],
+     [(1763, 4), (137, 4)]),
+], ids=["cumprod", "row-loop", "default-budget"])
+def test_each_stream_continues_across_tiles(monkeypatch, paths, N, checkpoints, tile_paths,
+                                            budget, chunks, cumprods):
+    # every path of a chunk is drawn tile by tile, and its stream goes on
+    # where the last tile left it: at a checkpoint inside a tile, on a tile
+    # edge and in the short last tile, the win counts and the wealth are
+    # those of path k's own default_rng((seed, k))
+    cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=N, paths=paths, seed=13)
+    if tile_paths is not None:
+        monkeypatch.setattr(martingale_lab, "_TILE_PATHS", tile_paths)
+    if budget is not None:
+        monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
+    calls = record_chunks(monkeypatch)
+    recursions = record_cumprod(monkeypatch)
+    batch = simulate(cfg, checkpoints=checkpoints)
+    assert calls == chunks
+    assert recursions == cumprods
+    won = np.array([np.random.default_rng((cfg.seed, k)).random(N) < cfg.p
+                    for k in range(paths)])
+    assert batch.wins.tolist() == won.sum(axis=1).tolist()
+    assert batch.checkpoint_wins.tolist() == (
+        won.cumsum(axis=1)[:, np.array(checkpoints) - 1].tolist())
+    assert_follows_literal_recursion(batch)
 
 
 def test_win_counts_consistent_with_final_wealth():
