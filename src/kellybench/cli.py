@@ -21,6 +21,7 @@ import argparse
 import math
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,10 @@ _DEFAULT_SEED = 20260823
 
 
 def _fmt(x) -> str:
+    """One CSV field: a string as it is, an integer in full, any other number
+    to 17 significant digits."""
+    if type(x) is float:  # nearly every field; format(float(x)) in one call
+        return format(x, ".17g")
     if isinstance(x, str):
         return x
     if isinstance(x, (int, np.integer)):
@@ -57,10 +62,12 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _write_csv(f, header: list[str], rows: Iterable) -> None:
+    """Write one table to the text file `f`, a line a row as `rows` yields
+    it; the file's own buffer batches the writes, so a long table never
+    stands in memory as one string."""
+    f.write(",".join(header) + "\n")
+    f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
 
 
 def _out_dir(args) -> Path:
@@ -122,14 +129,19 @@ def _config_defaults(args) -> dict:
     return values
 
 
-# what a command returns for main to write: (file name, header, rows)
-Table = tuple[str, list[str], list[list]]
+# what a command returns for main to write: (file name, header, rows); the
+# rows may be any iterable of rows, read once when the table is written
+Table = tuple[str, list[str], Iterable]
 
 
 def cmd_analyze(args, parser) -> tuple[int, list[Table]]:
+    """The utility curve, the regime partition (only for p > 1/2) and the
+    entropy row. The curve's rows are read from its arrays only when the
+    writer reaches them: a memoryview of a float64 array yields Python
+    floats, one at a time."""
     p = args.p
     fs, us = utility_curve(p, args.grid)
-    tables = [("utility_curve.csv", ["F", "U"], [[f, u] for f, u in zip(fs, us)])]
+    tables = [("utility_curve.csv", ["F", "U"], zip(memoryview(fs), memoryview(us)))]
 
     if p > 0.5:
         part = regime_partition(p)
@@ -313,10 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         # created only once the command returned: a failed command leaves no partial set
         out = _out_dir(args)
         for name, header, rows in tables:
-            text = _csv_text(header, rows)
             with open(out / name, "w", encoding="ascii", newline="") as f:
                 written.append(f.name)
-                f.write(text)
+                _write_csv(f, header, rows)
     except NoEdgeError as exc:
         print(f"no-edge: {exc}", file=sys.stderr)
         return 2

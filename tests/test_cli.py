@@ -1,6 +1,8 @@
 """End-to-end checks of the kellybench command and its CSV contracts."""
 
+import errno
 import hashlib
+import io
 import math
 import os
 import subprocess
@@ -8,10 +10,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kellybench
-from kellybench import utility
+from kellybench import cli, utility
 from kellybench.cli import main
 
 SIM_ARGS = ["--p", "0.52", "--kelly", "--n", "128", "--paths", "600", "--seed", "7"]
@@ -271,6 +274,26 @@ def test_config_file_supplies_defaults(tmp_path):
         assert float(prow[0][0]) == 0.52  # explicit --p beat the file value
 
 
+def test_a_config_never_carries_into_the_next_command(tmp_path, capsys, monkeypatch):
+    # a config's values become defaults of the parser of its own command line,
+    # never of a later call of main in the same process
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("grid = 11\n")
+    assert main(["analyze", "--p", "0.52", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    assert main(["analyze", "--p", "0.52", "--out", str(tmp_path / "b")]) == 0
+    assert len(read_rows(tmp_path / "a" / "utility_curve.csv")[1]) == 11
+    assert len(read_rows(tmp_path / "b" / "utility_curve.csv")[1]) == 1001
+
+    scales = []
+    monkeypatch.setattr("kellybench.cli.run_verification",
+                        lambda seed, scale: scales.append(scale) or ([], True))
+    cfg.write_text("full = true\n")
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+    assert main(["verify", "--out", str(tmp_path / "d")]) == 0
+    assert scales == ["full", "quick"]
+    assert "(quick scale)" in capsys.readouterr().out.splitlines()[-1]
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("gird = 11\n")
@@ -389,7 +412,9 @@ def test_failed_command_writes_no_csv(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, blocked", [
     (["simulate", *SIM_ARGS], "doob.csv"),  # the second of three CSVs
     (["verify", "--quick", "--seed", "1"], "errata.csv"),  # exit 1 would read as REGRESSION
-], ids=["simulate", "verify"])
+    # the last of three, after a 20 000-row curve
+    (["analyze", "--p", "0.52", "--grid", "20000"], "entropy.csv"),
+], ids=["simulate", "verify", "analyze"])
 def test_csv_that_cannot_be_written_leaves_no_csv(tmp_path, capsys, argv, blocked):
     (tmp_path / blocked).mkdir()
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -397,6 +422,39 @@ def test_csv_that_cannot_be_written_leaves_no_csv(tmp_path, capsys, argv, blocke
     assert err.startswith("error:") and blocked in err and err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == [blocked]
     assert (tmp_path / blocked).is_dir()
+
+
+def test_a_write_that_fails_midway_leaves_no_csv(tmp_path, capsys, monkeypatch):
+    # the curve is streamed: half of it has passed the file's buffer when the
+    # device fills up
+    fmt, fields = cli._fmt, []
+
+    def fields_then_a_full_disk(x):
+        fields.append(1)
+        if len(fields) > 20_000:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return fmt(x)
+
+    monkeypatch.setattr("kellybench.cli._fmt", fields_then_a_full_disk)
+    assert main(["analyze", "--p", "0.52", "--grid", "20000", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "No space left" in err and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_analyze_memory_is_bounded_by_its_output(tmp_path):
+    # rows are formatted and written one at a time: no table is held as one
+    # string, nor as a list of rows
+    main(["analyze", "--p", "0.52", "--out", str(tmp_path)])  # one-time allocations first
+    tracemalloc.start()
+    try:
+        assert main(["analyze", "--p", "0.52", "--grid", "200000", "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "utility_curve.csv").stat().st_size
+    assert size > 8 * 10**6
+    assert peak <= 2 * size
 
 
 def test_analyze_grid_is_refused_before_it_is_built(tmp_path, capsys):
@@ -476,6 +534,11 @@ def test_closed_form_and_simulate_commands_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"  # after verify's claim lines
     assert len(list(tmp_path.rglob("*.csv"))) == 8
+    # a first call of main in a fresh process, as from a shell, writes the pinned bytes
+    for command in ("analyze", "tradeoff"):
+        written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in (tmp_path / command).glob("*.csv")}
+        assert written == PINNED_CSVS[command][1]
 
 
 # SHA-256 of every CSV each command writes; a refactor must keep these bytes
@@ -549,6 +612,24 @@ PINNED_CSVS = {
             "2381a6f9c0e37f0aa49366c4c3be93a08e64fe309f73c9f5f02ebb565fe3bc77",
     }),
 }
+
+
+def test_csv_fields_follow_the_value_contract():
+    # a string as it is, an integer in full, any other number to 17 digits
+    floats = [0.1, np.float64(2.0 / 3.0), np.float32(0.1), math.nan, math.inf, -math.inf,
+              -0.0, 5e-324, 1.7976931348623157e308, np.float64(-math.inf)]
+    ints = [np.int32(-7), np.int64(2**62 + 1), 2**64 + 1, True]
+    row = [*floats, *ints, "match"]
+    want = ([format(float(x), ".17g") for x in floats] + [str(int(x)) for x in ints]
+            + ["match"])
+    f = io.StringIO()
+    cli._write_csv(f, [f"c{k}" for k in range(len(row))], iter([row, tuple(row)]))
+    header, *lines = f.getvalue().split("\n")
+    assert lines == [",".join(want)] * 2 + [""]
+    assert want[:9] == ["0.10000000000000001", "0.66666666666666663", "0.10000000149011612",
+                        "nan", "inf", "-inf", "-0", "4.9406564584124654e-324",
+                        "1.7976931348623157e+308"]
+    assert want[11:13] == ["4611686018427387905", "18446744073709551617"]
 
 
 @pytest.mark.parametrize("command", sorted(PINNED_CSVS))
