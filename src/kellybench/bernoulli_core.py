@@ -14,20 +14,24 @@ discrepancy is measured instead of silently resolved.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceGuardError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Max number of terms any direct-summation oracle is allowed to touch.
 ENUMERATION_GUARD = 10**6
 
 # log of the largest and of the smallest normal float64; exp overflows
 # past the first and is subnormal below the second
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-_LOG_FLOAT_TINY = math.log(np.finfo(float).tiny)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LOG_FLOAT_TINY = math.log(sys.float_info.min)
 
 # significant bits of the integer mantissa each binomial term carries
 _BITS = 128
@@ -35,8 +39,10 @@ _LN2 = math.log(2.0)
 
 
 def _check_count(n, what: str, least: int = 1) -> None:
-    """A count (trials, paths, a seed) is an int or NumPy integer, never a bool."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+    """A count (trials, paths, a seed) is an int or NumPy integer, never a bool.
+
+    NumPy registers its integers as numbers.Integral, but not np.bool_."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
         raise DomainError(f"{what} {n!r} must be an integer")
     if n < least:
         raise DomainError(f"{what} {n!r} must be at least {least}")
@@ -140,6 +146,8 @@ def _pmf_terms(N: int, p: float) -> Iterator[tuple[int, int]]:
 
 def log_pmf_array(spec: BinomialSpec) -> np.ndarray:
     """log P(U = alpha) for alpha = 0..N, finite also where P underflows float64."""
+    import numpy as np
+
     return np.fromiter((math.log(math.ldexp(m, -_BITS)) + (e + _BITS) * _LN2 if m else -math.inf
                         for m, e in _pmf_terms(spec.N, spec.p)), float, spec.N + 1)
 
@@ -147,6 +155,8 @@ def log_pmf_array(spec: BinomialSpec) -> np.ndarray:
 def pmf_array(spec: BinomialSpec) -> np.ndarray:
     """P(U = alpha) for alpha = 0..N, each term of the core rounded once to
     float64 (int / int rounds correctly), subnormal tails included."""
+    import numpy as np
+
     return np.fromiter((m / (1 << -e) for m, e in _pmf_terms(spec.N, spec.p)), float, spec.N + 1)
 
 
@@ -157,6 +167,8 @@ def moments(spec: BinomialSpec) -> Moments:
 
 def _enumerated_count_moments(N: int, p: float) -> tuple[float, float, float]:
     """(E[U], Var[U], COV(U, N-U)) by two-pass summation over the support."""
+    import numpy as np
+
     probs = pmf_array(BinomialSpec(N=N, p=p))
     wins, losses = np.arange(N + 1.0), np.arange(N, -1.0, -1.0)
     eu, ev = math.fsum(probs * wins), math.fsum(probs * losses)
@@ -184,6 +196,8 @@ def log_mgf(spec: BinomialSpec, xi: float) -> float:
         return 0.0
     if p == 1.0:
         return spec.N * xi
+    import numpy as np
+
     return spec.N * float(np.logaddexp(math.log1p(-p), math.log(p) + xi))
 
 
@@ -201,6 +215,8 @@ def mgf_bruteforce(spec: BinomialSpec, xi: float) -> float:
     """E[exp(xi U)] by direct summation over the PMF; the oracle for mgf()."""
     if not math.isfinite(xi):
         raise DomainError(f"mgf argument {xi!r} must be finite")
+    import numpy as np
+
     log_terms = xi * np.arange(spec.N + 1) + log_pmf_array(spec)
     top = float(log_terms.max())  # shifted by the largest term, so no exp overflows
     total = top + math.log(math.fsum(np.exp(log_terms - top)))

@@ -13,39 +13,23 @@ fixed column order, 17 significant digits, '.' decimal separator, and
 '\\n' line endings. The KELLYBENCH_OUT environment variable sets the
 default output directory; a flat `key = value` config file may supply
 defaults that explicit flags override.
+
+Each command imports what it runs when it runs: building the parser loads
+no command module, `analyze` and `tradeoff` never load NumPy, and only
+`simulate` and `verify` load it and the sampler.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import numbers
 import os
 import sys
 from collections.abc import Iterable
 from pathlib import Path
 
-import numpy as np
-
-from . import (
-    NoEdgeError,
-    SimConfig,
-    doob_bound,
-    doob_decompose,
-    empirical_sup_prob,
-    expected_wealth_linear,
-    kelly_fraction,
-    log_drift_check,
-    shannon,
-    simulate,
-    tradeoff_table,
-    utility,
-    utility_curve,
-)
-from .errors import DomainError, KellyBenchError, ResourceGuardError
-from .martingale_lab import _MIN_DRIFT_PATHS
-from .risk_metrics import _check_variance_fits
-from .utility_kelly import regime_partition
-from .verify import run_verification
+from .errors import DomainError, KellyBenchError, NoEdgeError, ResourceGuardError
 
 _DEFAULT_SEED = 20260823
 
@@ -57,7 +41,7 @@ def _fmt(x) -> str:
         return format(x, ".17g")
     if isinstance(x, str):
         return x
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):  # NumPy integers too; np.bool_ is not one
         return str(int(x))
     return format(float(x), ".17g")
 
@@ -136,12 +120,13 @@ Table = tuple[str, list[str], Iterable]
 
 def cmd_analyze(args, parser) -> tuple[int, list[Table]]:
     """The utility curve, the regime partition (only for p > 1/2) and the
-    entropy row. The curve's rows are read from its arrays only when the
-    writer reaches them: a memoryview of a float64 array yields Python
-    floats, one at a time."""
+    entropy row."""
+    from .entropy import shannon
+    from .utility_kelly import kelly_fraction, regime_partition, utility, utility_curve
+
     p = args.p
     fs, us = utility_curve(p, args.grid)
-    tables = [("utility_curve.csv", ["F", "U"], zip(memoryview(fs), memoryview(us)))]
+    tables = [("utility_curve.csv", ["F", "U"], zip(fs, us))]
 
     if p > 0.5:
         part = regime_partition(p)
@@ -166,6 +151,8 @@ def cmd_analyze(args, parser) -> tuple[int, list[Table]]:
 
 
 def _resolve_stake(args, parser) -> float:
+    from .utility_kelly import kelly_fraction
+
     modes = [args.kelly, args.fraction is not None, args.stake is not None]
     if sum(modes) != 1:
         parser.error("choose exactly one of --kelly, --fraction, --stake")
@@ -177,6 +164,19 @@ def _resolve_stake(args, parser) -> float:
 
 
 def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
+    import numpy as np
+
+    from .martingale_lab import (
+        _MIN_DRIFT_PATHS,
+        SimConfig,
+        doob_decompose,
+        empirical_sup_prob,
+        log_drift_check,
+        simulate,
+    )
+    from .risk_metrics import _check_variance_fits, doob_bound, expected_wealth_linear
+    from .utility_kelly import utility
+
     F = _resolve_stake(args, parser)
     config = SimConfig(
         w0=args.w0, p=args.p, F=F, N=args.n, paths=args.paths,
@@ -232,6 +232,8 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
 
 
 def cmd_tradeoff(args, parser) -> tuple[int, list[Table]]:
+    from .risk_metrics import tradeoff_table
+
     try:
         f_grid = [float(tok) for tok in args.f.split(",")]
     except ValueError as exc:  # the message names the bad entry
@@ -245,6 +247,8 @@ def cmd_tradeoff(args, parser) -> tuple[int, list[Table]]:
 
 
 def cmd_verify(args, parser) -> tuple[int, list[Table]]:
+    from .verify import run_verification
+
     scale = "full" if args.full else "quick"
     results, clean = run_verification(args.seed, scale=scale)
     for r in results:
@@ -267,14 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pa = sub.add_parser("analyze", help="utility curve, partition and entropy tables")
-    pa.add_argument("--p", type=float, required=True)
+    pa.add_argument("--p", type=float)
     pa.add_argument("--grid", type=int, default=1001)
     pa.add_argument("--out", type=str, default=None)
     pa.add_argument("--config", type=str, default=None)
     pa.set_defaults(fn=cmd_analyze, sub_parser=pa)
 
     ps = sub.add_parser("simulate", help="seeded Monte Carlo wealth trajectories")
-    ps.add_argument("--p", type=float, required=True)
+    ps.add_argument("--p", type=float)
     ps.add_argument("--kelly", action="store_true")
     ps.add_argument("--fraction", type=float, default=None)
     ps.add_argument("--stake", type=float, default=None)
@@ -290,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(fn=cmd_simulate, sub_parser=ps)
 
     pt = sub.add_parser("tradeoff", help="fractional-Kelly growth/volatility table")
-    pt.add_argument("--p", type=float, required=True)
+    pt.add_argument("--p", type=float)
     pt.add_argument("--f", type=str, default="0.5,0.6666666666666666,0.75,1")
     pt.add_argument("--n", type=int, default=1000)
     pt.add_argument("--w0", type=float, default=1000.0)
@@ -321,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
             # argparse's own rule, even when they repeat the default
             args.sub_parser.set_defaults(**_config_defaults(args))
             args = parser.parse_args(argv)
+        # not required of argparse, which checks before the file's defaults apply
+        if "p" in vars(args) and args.p is None:
+            args.sub_parser.error("the following arguments are required: --p")
         code, tables = args.fn(args, parser)
         # created only once the command returned: a failed command leaves no partial set
         out = _out_dir(args)

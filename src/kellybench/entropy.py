@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bernoulli_core import BinomialSpec, _check_p, log_pmf_array, pmf_array
 from .utility_kelly import kelly_fraction, utility
 
@@ -44,6 +42,8 @@ def binomial_entropy_forms(spec: BinomialSpec) -> tuple[float, float]:
     algebraically identical; both are returned so the agreement can be
     asserted externally.
     """
+    import numpy as np
+
     N, s = spec.N, spec.p
     probs, logp = pmf_array(spec), log_pmf_array(spec)
     direct = 0.0 - math.fsum(probs[probs > 0.0] * logp[probs > 0.0])

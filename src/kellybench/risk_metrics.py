@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bernoulli_core import _LOG_FLOAT_MAX, _LOG_FLOAT_TINY, BinomialSpec, TrialCounts, pmf_array
 from .bernoulli_core import _check_count, _check_fp, _check_game, _check_p, _check_threshold
 from .errors import ApproximationDomainError, DomainError, ResourceGuardError
 from .utility_kelly import kelly_fraction, utility
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # guard on the stake for the binomial-series wealth expansion
 WEALTH_APPROX_MAX_F = 0.2
@@ -89,6 +91,8 @@ def expected_wealth_exponential(w0: float, p: float, F: float, N: int) -> float:
 def _enumerated_wealth(w0: float, p: float, F: float, N: int) -> tuple[np.ndarray, np.ndarray]:
     """P(U = k) and W(N) = w0 (1+F)^k (1-F)^(N-k) for k = 0..N, the terms of
     the enumeration oracles; ResourceGuardError where a W(N) leaves float64."""
+    import numpy as np
+
     probs = pmf_array(BinomialSpec(N=N, p=p))
     alpha = np.arange(N + 1.0)
     try:
@@ -191,6 +195,8 @@ def variance_report(w0: float, p: float, F: float, N: int) -> VarianceReport:
     if F == 0.0 or p in (0.0, 1.0):
         oracle = 0.0
     else:
+        import numpy as np
+
         probs, w = _enumerated_wealth(w0, p, F, N)
         scale = math.frexp(w.max())[1]
         x = np.ldexp(w, -scale)

@@ -217,7 +217,7 @@ def test_simulate_refuses_few_paths_before_the_batch(tmp_path, capsys, monkeypat
     def no_batch(config):
         raise AssertionError("the batch ran")
 
-    monkeypatch.setattr("kellybench.cli.simulate", no_batch)
+    monkeypatch.setattr("kellybench.martingale_lab.simulate", no_batch)
     # a RuntimeWarning from np.var(ddof=1) would fail this test
     argv = ["simulate", "--p", "0.52", "--kelly", "--n", "10", "--paths", "1"]
     assert main([*argv, "--out", str(tmp_path)]) == 2
@@ -285,13 +285,43 @@ def test_a_config_never_carries_into_the_next_command(tmp_path, capsys, monkeypa
     assert len(read_rows(tmp_path / "b" / "utility_curve.csv")[1]) == 1001
 
     scales = []
-    monkeypatch.setattr("kellybench.cli.run_verification",
+    monkeypatch.setattr("kellybench.verify.run_verification",
                         lambda seed, scale: scales.append(scale) or ([], True))
     cfg.write_text("full = true\n")
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
     assert main(["verify", "--out", str(tmp_path / "d")]) == 0
     assert scales == ["full", "quick"]
     assert "(quick scale)" in capsys.readouterr().out.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "tradeoff"])
+def test_config_file_supplies_p(tmp_path, command):
+    # a `p` key takes effect, and an explicit --p beats it
+    rest = ["--kelly", "--n", "20", "--paths", "200"] if command == "simulate" else []
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("p = 0.6\n")
+    runs = {"key": ["--config", str(cfg)], "flag": ["--p", "0.6"],
+            "flag-over-key": ["--p", "0.52", "--config", str(cfg)], "flag-alone": ["--p", "0.52"]}
+    written = {}
+    for name, flags in runs.items():
+        out = tmp_path / name
+        assert main([command, *flags, *rest, "--out", str(out)]) == 0
+        written[name] = {f.name: f.read_bytes() for f in out.glob("*.csv")}
+    assert written["key"] == written["flag"] != written["flag-alone"] == written["flag-over-key"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "tradeoff"])
+def test_p_is_required_of_a_flag_or_a_config_key(tmp_path, capsys, command):
+    rest = ["--kelly", "--n", "20", "--paths", "200"] if command == "simulate" else []
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"out = {tmp_path / 'out'}\n")
+    for flags in ([], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main([command, *flags, *rest])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            f"kellybench {command}: error: the following arguments are required: --p\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -498,7 +528,7 @@ def test_explicit_quick_beats_full_in_config(tmp_path, capsys, monkeypatch):
         scales.append(scale)
         return [], True
 
-    monkeypatch.setattr("kellybench.cli.run_verification", record_scale)
+    monkeypatch.setattr("kellybench.verify.run_verification", record_scale)
     cfg = tmp_path / "bench.cfg"
     cfg.write_text("full = true\n")
     for flags, scale in (([], "full"), (["--quick"], "quick")):
@@ -512,12 +542,16 @@ def test_explicit_quick_beats_full_in_config(tmp_path, capsys, monkeypatch):
 
 _NO_SCIPY_CHILD = """
 import sys
+import kellybench.cli
+kellybench.cli.build_parser()
+heavy = ("numpy", "kellybench.martingale_lab", "kellybench.verify")
+assert not [m for m in heavy if m in sys.modules], [m for m in heavy if m in sys.modules]
 from kellybench.cli import main
 out = sys.argv[1]
 assert main(["analyze", "--p", "0.52", "--out", out + "/analyze"]) == 0
 assert main(["tradeoff", "--p", "0.52", "--out", out + "/tradeoff"]) == 0
-assert main(["simulate", "--p", "0.52", "--kelly", "--n", "20", "--paths", "200",
-             "--out", out + "/simulate"]) == 0
+assert "numpy" not in sys.modules
+assert main(["simulate", *sys.argv[2:], "--out", out + "/simulate"]) == 0
 assert main(["verify", "--quick", "--seed", "1", "--out", out + "/verify"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
@@ -525,20 +559,25 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 def test_closed_form_and_simulate_commands_load_no_scipy(tmp_path):
     # importing scipy would take most of a cold start, and verify's enumeration
-    # oracles read the package's own integer binomial core instead
+    # oracles read the package's own integer binomial core instead. NumPy
+    # is the larger part of the rest: the parser and the closed-form commands
+    # never load it, nor the sampler or the claim registry
     src = str(Path(kellybench.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path), *SIM_ARGS],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"  # after verify's claim lines
     assert len(list(tmp_path.rglob("*.csv"))) == 8
     # a first call of main in a fresh process, as from a shell, writes the pinned bytes
-    for command in ("analyze", "tradeoff"):
+    for command in ("analyze", "tradeoff", "simulate"):
         written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in (tmp_path / command).glob("*.csv")}
         assert written == PINNED_CSVS[command][1]
+    assert hashlib.sha256((tmp_path / "verify" / "errata.csv").read_bytes()).hexdigest() == (
+        "483fea405b2fcd0a162cedb58f13992b53399d6b9bb3492f51e704dfba7949a2"
+    )
 
 
 # SHA-256 of every CSV each command writes; a refactor must keep these bytes
