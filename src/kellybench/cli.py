@@ -175,7 +175,6 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
         simulate,
     )
     from .risk_metrics import _check_variance_fits, doob_bound, expected_wealth_linear
-    from .utility_kelly import utility
 
     F = _resolve_stake(args, parser)
     config = SimConfig(
@@ -192,9 +191,10 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
     for cp in config.checkpoints:
         _check_variance_fits(config.w0, config.p, F, cp)
     batch = simulate(config)
-    dec = None
-    if config.p > 0.5 and utility(F, config.p) >= 0.0:
+    try:
         dec = doob_decompose(batch)
+    except DomainError:  # outside the growth regime: mean_M is nan
+        dec = None
 
     lam_ref = args.lam if args.lam is not None else 1.5 * config.w0
     rows = []

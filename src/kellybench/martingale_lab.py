@@ -20,20 +20,21 @@ max W(0..I). The checkpoints are the quarters of the horizon unless the
 caller names others.
 
 `simulate` checks the call and cuts the batch into chunks;
-`_simulate_chunk` seeds, writes and draws a chunk's paths tile
-by tile, counts their wins from checkpoint to checkpoint, and writes each
-tile's wealth over its draws up to the last checkpoint, past which it only
-counts wins. With no checkpoints it draws no wealth at all: the win counts
-are all that the log drift and the full-stake ruin law depend on. Since the
-count, the products and the running max are sequential along a path, the
-win count, W(I) and max W(0..I) at a checkpoint do not depend on N or on
-the other checkpoints, and the draw never reads F; so one batch serves
-every check on a prefix of its horizon, at every stake.
+`_simulate_chunk` seeds, writes and draws a chunk's paths tile by tile,
+writes each tile's wealth over its draws up to the last checkpoint, and
+counts their wins from checkpoint to checkpoint; past the last checkpoint
+it only counts wins. With no checkpoints it draws no wealth at all: the win
+counts are all that the log drift and the full-stake ruin law depend on.
+Since the count, the products and the running max are sequential along a
+path, the win count, W(I) and max W(0..I) at a checkpoint do not depend on
+N or on the other checkpoints, and the draw never reads F; so one batch
+serves every check on a prefix of its horizon, at every stake.
 
 Every chunk runs one kernel. Its paths are drawn a time tile at a time,
 one row a path, and their outcomes are written to a (tile, paths) byte
-table; each segment between checkpoints is counted and maxed in one
-reduction over its rows, and the win count, W and max W are carried from
+table; the tile's wealth is then written, and one walk over its segments
+between checkpoints counts each segment's wins and maxes its wealth in one
+reduction over its rows. The win count, W and max W are carried from
 tile to tile. A chunk of at least `_TILE_PATHS` (256) paths runs the
 recursion one multiply a row across its paths. A row costs about 0.4 us of
 call overhead whatever its width, so a narrower chunk runs `cumprod` down
@@ -153,15 +154,6 @@ def _ruined(config: SimConfig, wins: np.ndarray) -> np.ndarray:
     """Per-path flag of a loss at full stake, read from the win counts: a
     wealth that underflows to 0.0 at F < 1 still has a finite log."""
     return (config.F == 1.0) & (wins < config.N)
-
-
-def _log_growth_per_trial(config: SimConfig, wins: np.ndarray) -> np.ndarray:
-    """Per-path mean log increment, from the win counts; -inf on ruined paths."""
-    if config.F == 1.0:
-        out = np.where(_ruined(config, wins), -np.inf, wins * math.log(2.0))
-    else:
-        out = wins * math.log1p(config.F) + (config.N - wins) * math.log1p(-config.F)
-    return out / config.N
 
 
 @dataclass(frozen=True)
@@ -307,7 +299,8 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
 
     Once a tile's outcomes are written its draws are spent, and their
     buffer, viewed as (steps, paths), takes the step factors and then the
-    wealth, up to the last checkpoint; the tiles past it only count wins.
+    wealth, up to the last checkpoint. One walk over the tile's segments
+    then counts and maxes them and writes each checkpoint's three columns.
     """
     config = batch.config
     cps = batch.checkpoints
@@ -342,16 +335,8 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
         won = outcomes[:width * paths].reshape(width, paths)
         np.less(u.T, config.p, out=won)
         ends = [c - t0 for c in cps[j:] if c <= t0 + width]  # rows from 1
-        # each segment (previous checkpoint, checkpoint] of the tile, and its
-        # tail, is summed into int32 and added to the carried count, which is
-        # then the checkpoint's
-        bounds = [0, *ends, width]
-        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            wins += np.add.reduce(won[a:b].view(np.uint8), axis=0, dtype=np.int32)
-            if k < len(ends):
-                batch.checkpoint_wins[rows, j + k] = wins
-        if t0 < last:
-            steps = min(width, last - t0)
+        steps = min(width, last - t0)  # the rows that take wealth; none past `last`
+        if steps > 0:
             x = draws[:steps * paths].reshape(steps, paths)
             _write_factors(won[:steps], x, config.F)
             # W(I) = W(I-1) * (1 + F Z(I)), one rounding per step, from the
@@ -365,16 +350,20 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
             else:
                 x[0] *= wealth
                 np.cumprod(x, axis=0, out=x)
-            # max does not round, so the max of each segment's max is max W(0..I)
-            bounds = [0, *ends]
-            if bounds[-1] < steps:
-                bounds.append(steps)
-            for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-                top = np.maximum(np.maximum.reduce(x[a:b], axis=0), top)
-                if k < len(ends):
-                    batch.checkpoint_running_max[rows, j + k] = top
-                    batch.checkpoint_wealth[rows, j + k] = x[b - 1]
             wealth = x[-1].copy()
+        # each segment (previous checkpoint, checkpoint] of the tile, and its
+        # tail, is summed into int32 onto the carried count, and its wealth
+        # rows maxed onto the carried max (max does not round): both are then
+        # the checkpoint's
+        bounds = [0, *ends, width]
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            wins += np.add.reduce(won[a:b].view(np.uint8), axis=0, dtype=np.int32)
+            if a < steps:
+                top = np.maximum(np.maximum.reduce(x[a:min(b, steps)], axis=0), top)
+            if k < len(ends):
+                batch.checkpoint_wins[rows, j + k] = wins
+                batch.checkpoint_running_max[rows, j + k] = top
+                batch.checkpoint_wealth[rows, j + k] = x[b - 1]
         j += len(ends)
 
 
@@ -438,14 +427,22 @@ def log_drift_check(config: SimConfig, wins: np.ndarray) -> DriftCheck:
     about the survivors, so theory is nan too.
     """
     ruined = _ruined(config, wins)
-    rates = _log_growth_per_trial(config, wins)[~ruined]
     excluded = int(np.count_nonzero(ruined))
-    if rates.size < _MIN_DRIFT_PATHS:
+    # the survivors' win counts, not copied where none is ruined (every F < 1):
+    # a copy would outlive the rates' temporaries and raise the peak by 8 B a path
+    alive = wins[~ruined] if excluded else wins
+    if alive.size < _MIN_DRIFT_PATHS:
         raise DomainError(
-            f"drift check needs >= {_MIN_DRIFT_PATHS} surviving paths, got {rates.size}"
+            f"drift check needs >= {_MIN_DRIFT_PATHS} surviving paths, got {alive.size}"
         )
+    # each survivor's mean log increment, from its win count
+    if config.F == 1.0:
+        rates = alive * math.log(2.0) / config.N
+    else:
+        rates = (alive * math.log1p(config.F)
+                 + (config.N - alive) * math.log1p(-config.F)) / config.N
     theory = utility(config.F, config.p)
-    if np.ptp(wins[~ruined]) == 0:
+    if np.ptp(alive) == 0:
         # one win count: np.mean and np.std of its rate would only add rounding
         empirical, se, z = float(rates[0]), 0.0, math.nan
     else:

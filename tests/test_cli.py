@@ -274,6 +274,16 @@ def test_config_file_supplies_defaults(tmp_path):
         assert float(prow[0][0]) == 0.52  # explicit --p beat the file value
 
 
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("\n# a coarse curve\ngrid = 11  # note\n   \n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["analyze", "--p", "0.52", "--config", str(cfg), "--out", str(a)]) == 0
+    assert main(["analyze", "--p", "0.52", "--grid", "11", "--out", str(b)]) == 0
+    for name in ("utility_curve.csv", "partition.csv", "entropy.csv"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
 def test_a_config_never_carries_into_the_next_command(tmp_path, capsys, monkeypatch):
     # a config's values become defaults of the parser of its own command line,
     # never of a later call of main in the same process

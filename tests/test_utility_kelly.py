@@ -46,6 +46,17 @@ def test_utility_full_stake_sentinel():
     assert utility(1.0, 1.0) == math.log(2.0)
 
 
+def test_utility_signed_zero_and_certain_games():
+    # the p > 0 and q > 0 guards keep U(0, p) at +0.0, p = -0.0 included,
+    # so `analyze --p -0.0` writes "0,0", not "0,-0", as its first curve row
+    for p in (-0.0, 0.0, 0.5, 1.0):
+        u = utility(0.0, p)
+        assert u == 0.0 and math.copysign(1.0, u) == 1.0
+    for F in (0.0, 1e-300, 0.04, 0.5, 0.99, math.nextafter(1.0, 0.0)):
+        assert utility(F, 1.0).hex() == math.log1p(F).hex()
+        assert utility(F, 0.0) == math.log1p(-F)
+
+
 def test_utility_rejects_out_of_range_inputs():
     with pytest.raises(DomainError):
         utility(-0.1, 0.5)
