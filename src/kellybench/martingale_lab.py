@@ -69,9 +69,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernoulli_core import _LOG_FLOAT_TINY, _check_count, _check_game, _check_threshold
+from .bernoulli_core import _check_count, _check_game, _check_threshold
 from .errors import DomainError, KellyBenchError, ResourceGuardError
-from .risk_metrics import conditional_growth_factor, expected_wealth_linear
+from .risk_metrics import expected_wealth_linear
 from .utility_kelly import utility
 
 # hard ceiling on paths * N
@@ -167,8 +167,8 @@ class DriftCheck:
 
 @dataclass(frozen=True)
 class DoobDecomposition:
-    """Martingale part M(I) = W(I) * g^(-I) and deterministic drift A(I), at
-    the checkpoints of the batch it was taken from."""
+    """Martingale part M(I) = W(I) * g^(-I) = W(I) / E[W(I)] * w0 and
+    deterministic drift A(I), at the checkpoints of the batch it came from."""
 
     martingale_part: np.ndarray  # (paths, len(checkpoints))
     drift: np.ndarray  # (len(checkpoints),)
@@ -472,24 +472,17 @@ def doob_decompose(batch: TrajectoryBatch) -> DoobDecomposition:
     """Split the growth-regime process into martingale part and drift.
 
     M(I) = W(I) * g^(-I) and A(I) = E[W(I)] - w0 = w0 * g^I - w0, with
-    g = 1 + F(2p-1). The decomposition identity is verified at the
-    expectation level: the cross-path mean of M(I) stays flat at w0.
+    g = 1 + F(2p-1). M(I) is computed as W(I) / E[W(I)] * w0 from the
+    closed form that A(I) reads, so g^I is taken in one place. The identity
+    is verified at the expectation level: mean M(I) stays flat at w0.
     """
     cfg = batch.config
     # F = 0 sits on the regime boundary (U = 0) and degenerates to M = w0, A = 0
     if cfg.p <= 0.5 or utility(cfg.F, cfg.p) < 0.0:
         raise DomainError(
-            "decomposition is scoped to the growth regime (p > 1/2, U(F, p) >= 0)"
-        )
-    g = conditional_growth_factor(cfg.p, cfg.F)
-    cps = np.asarray(batch.checkpoints, dtype=float)
-    log_growth = cps * math.log(g)
-    if log_growth.max(initial=0.0) <= -_LOG_FLOAT_TINY:
-        mart = batch.checkpoint_wealth * g ** (-cps)
-    else:
-        # g^-I is below the normal floats, though W(I) g^-I need not be:
-        # take it in log space; M(I) = 0 where W(I) is
-        with np.errstate(divide="ignore"):
-            mart = np.exp(np.log(batch.checkpoint_wealth) - log_growth)
-    drift = [expected_wealth_linear(cfg.w0, cfg.p, cfg.F, I) - cfg.w0 for I in batch.checkpoints]
-    return DoobDecomposition(martingale_part=mart, drift=np.array(drift))
+            "decomposition is scoped to the growth regime (p > 1/2, U(F, p) >= 0)")
+    # E[W(I)] >= w0 > 0; divide first, as w0 / E[W(I)] can be subnormal
+    mean = np.array([expected_wealth_linear(cfg.w0, cfg.p, cfg.F, I) for I in batch.checkpoints])
+    mart = batch.checkpoint_wealth / mean
+    mart *= cfg.w0
+    return DoobDecomposition(martingale_part=mart, drift=mean - cfg.w0)

@@ -50,22 +50,26 @@ def conditional_growth_factor(p: float, F: float) -> float:
     return 1.0 + F * (2.0 * p - 1.0)
 
 
-def expected_wealth_linear(w0: float, p: float, F: float, N: int) -> float:
-    """Closed form w0 * g^N for E[W(N)].
+def _scaled_power(w0: float, base: float, N: int, F: float) -> float:
+    """w0 * base^N for base >= 0, the closed forms' E[W(N)].
 
     A value beyond float64 range is a ResourceGuardError, not an
-    OverflowError escaping to the caller. The test is on log w0 + N log g,
-    since a small w0 brings some g^N beyond float64 back into range.
+    OverflowError escaping to the caller. The test is on log w0 + N log base,
+    since a small w0 brings some base^N beyond float64 back into range.
     """
-    _check_game(w0, p, F, N)
-    g = conditional_growth_factor(p, F)
-    log_mean = math.log(w0) + N * math.log(g) if g > 0.0 else -math.inf
+    log_mean = math.log(w0) + N * math.log(base) if base > 0.0 else -math.inf
     if log_mean > _LOG_FLOAT_MAX:
         raise ResourceGuardError(f"expected wealth overflows float64 at N={N}, F={F!r}")
     try:
-        return w0 * g**N
-    except OverflowError:  # g^N alone is beyond float64, w0 g^N is not
+        return w0 * base**N
+    except OverflowError:  # base^N alone is beyond float64, w0 base^N is not
         return math.exp(log_mean)
+
+
+def expected_wealth_linear(w0: float, p: float, F: float, N: int) -> float:
+    """Closed form w0 * g^N for E[W(N)]; ResourceGuardError beyond float64."""
+    _check_game(w0, p, F, N)
+    return _scaled_power(w0, conditional_growth_factor(p, F), N, F)
 
 
 def expected_wealth_product(w0: float, p: float, F: float, N: int) -> float:
@@ -73,19 +77,27 @@ def expected_wealth_product(w0: float, p: float, F: float, N: int) -> float:
 
     It treats the win and loss counts as independent; under the
     complementary model it deviates from the exact expectation, and the
-    gap is a reported erratum.
+    gap is a reported erratum. ResourceGuardError beyond float64.
     """
     _check_game(w0, p, F, N)
     q = 1.0 - p
-    return w0 * ((1.0 + p * F) * (1.0 - q * F)) ** N
+    return _scaled_power(w0, (1.0 + p * F) * (1.0 - q * F), N, F)
 
 
 def expected_wealth_exponential(w0: float, p: float, F: float, N: int) -> float:
-    """Small-stake exponential estimate w0 * exp(N F (p - q))."""
+    """Small-stake exponential estimate w0 * exp(N F (p - q)); ResourceGuardError
+    beyond float64, tested on log w0 + N F (p - q) as in `_scaled_power`."""
     _check_game(w0, p, F, N)
     if F > 0.1:
         raise ApproximationDomainError(f"exponential estimate requires F <= 0.1, got {F!r}")
-    return w0 * math.exp(N * F * (2.0 * p - 1.0))
+    exponent = N * F * (2.0 * p - 1.0)
+    log_mean = math.log(w0) + exponent
+    if log_mean > _LOG_FLOAT_MAX:
+        raise ResourceGuardError(f"expected wealth overflows float64 at N={N}, F={F!r}")
+    try:
+        return w0 * math.exp(exponent)
+    except OverflowError:  # exp alone is beyond float64, w0 exp is not
+        return math.exp(log_mean)
 
 
 def _enumerated_wealth(w0: float, p: float, F: float, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -219,6 +231,9 @@ def tradeoff_table(
     if not f_grid:
         raise DomainError("multiplier grid must be non-empty")
     fk = kelly_fraction(p)
+    # the estimate is taken at the mantissa of w0 = m 2^e and its root scaled
+    # by 2^e, exactly: w0^2 leaves float64 where the volatility need not
+    m, e = math.frexp(w0)
     rows = []
     for f in f_grid:
         if not (0.0 < f <= 1.0):
@@ -228,7 +243,7 @@ def tradeoff_table(
             f=f,
             F=F,
             expected_wealth=expected_wealth_linear(w0, p, F, N),
-            volatility=math.sqrt(_paper_variance(w0, p, F, N)),
+            volatility=math.ldexp(math.sqrt(_paper_variance(m, p, F, N)), e),
             utility=utility(F, p),
         ))
     return rows

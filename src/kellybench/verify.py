@@ -243,7 +243,7 @@ def _claim_exponential_growth(run: Run) -> tuple:
 def _claim_growth_factor_polynomials(run: Run) -> tuple:
     p = 0.52
     fk = kelly_fraction(p)
-    lin = 1.0 + fk * (2 * p - 1)
+    lin = conditional_growth_factor(p, fk)
     prod = (1.0 + p * fk) * (1.0 - (1 - p) * fk)
     poly_lin = 4 * p * p - 4 * p + 2
     poly_prod = 4 * p**4 - 8 * p**3 + 9 * p * p - 5 * p + 2

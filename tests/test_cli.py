@@ -3,11 +3,13 @@
 import errno
 import hashlib
 import io
+import json
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +20,9 @@ from kellybench import cli, utility
 from kellybench.cli import main
 
 SIM_ARGS = ["--p", "0.52", "--kelly", "--n", "128", "--paths", "600", "--seed", "7"]
+
+# SHA-256 of `verify --quick --seed 1`'s errata.csv; refactors of the registry keep it
+ERRATA_SEED_1 = "483fea405b2fcd0a162cedb58f13992b53399d6b9bb3492f51e704dfba7949a2"
 
 
 def read_rows(path):
@@ -525,10 +530,7 @@ def test_verify_quick_is_clean(tmp_path, capsys):
         assert (r["verdict"] == "match") == (float(r["gap"]) <= float(r["tol"])), r["claim_id"]
     assert "mismatch" in verdicts  # documented inconsistencies are reported, not hidden
     assert "verification clean" in capsys.readouterr().out
-    # refactors of the registry must keep the errata bytes of this seed
-    assert hashlib.sha256((tmp_path / "errata.csv").read_bytes()).hexdigest() == (
-        "483fea405b2fcd0a162cedb58f13992b53399d6b9bb3492f51e704dfba7949a2"
-    )
+    assert hashlib.sha256((tmp_path / "errata.csv").read_bytes()).hexdigest() == ERRATA_SEED_1
 
 
 def test_explicit_quick_beats_full_in_config(tmp_path, capsys, monkeypatch):
@@ -549,6 +551,20 @@ def test_explicit_quick_beats_full_in_config(tmp_path, capsys, monkeypatch):
 
 
 # -------------------------------------------------------------- start-up
+
+
+def _run_child(code, *args, **env):
+    """Run `code` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(kellybench.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=dict(os.environ, PYTHONPATH=path, **env),
+                          capture_output=True, text=True, timeout=120)
+
+
+def _hashes(out):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.glob("*.csv")}
+
 
 _NO_SCIPY_CHILD = """
 import sys
@@ -572,22 +588,52 @@ def test_closed_form_and_simulate_commands_load_no_scipy(tmp_path):
     # oracles read the package's own integer binomial core instead. NumPy
     # is the larger part of the rest: the parser and the closed-form commands
     # never load it, nor the sampler or the claim registry
-    src = str(Path(kellybench.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path), *SIM_ARGS],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_child(_NO_SCIPY_CHILD, str(tmp_path), *SIM_ARGS)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"  # after verify's claim lines
     assert len(list(tmp_path.rglob("*.csv"))) == 8
     # a first call of main in a fresh process, as from a shell, writes the pinned bytes
     for command in ("analyze", "tradeoff", "simulate"):
-        written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
-                   for f in (tmp_path / command).glob("*.csv")}
-        assert written == PINNED_CSVS[command][1]
-    assert hashlib.sha256((tmp_path / "verify" / "errata.csv").read_bytes()).hexdigest() == (
-        "483fea405b2fcd0a162cedb58f13992b53399d6b9bb3492f51e704dfba7949a2"
-    )
+        assert _hashes(tmp_path / command) == PINNED_CSVS[command][1]
+    assert _hashes(tmp_path / "verify") == {"errata.csv": ERRATA_SEED_1}
+
+
+try:  # NumPy's run-time dispatched CPU features, and whether each is on
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # NumPy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+_DISPATCH_OFF_CHILD = """
+import json, sys
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from kellybench.cli import main
+out, commands = sys.argv[1], json.loads(sys.argv[2])
+for name, argv in commands.items():
+    assert main([*argv, "--out", out + "/" + name]) == 0
+assert main(["verify", "--quick", "--seed", "1", "--out", out + "/verify"]) == 0
+print(json.dumps([k for k in __cpu_dispatch__ if __cpu_features__[k]]))
+"""
+
+
+def test_pinned_bytes_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
+    # with every kernel that NumPy picks at run time switched off, the child
+    # runs the baseline loops: a pinned byte that came from a SIMD kernel of
+    # this CPU (an array power, exp or log) would read differently there
+    native = [k for k in __cpu_dispatch__ if __cpu_features__[k]]
+    if not native:
+        warnings.warn(f"this CPU has none of NumPy's dispatched features {list(__cpu_dispatch__)}:"
+                      " the child runs the kernels of this process, so the test checks less")
+    commands = {name: argv for name, (argv, _) in PINNED_CSVS.items()}
+    proc = _run_child(_DISPATCH_OFF_CHILD, str(tmp_path), json.dumps(commands),
+                      NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []  # every one was off in the child
+    for name, (_, pins) in PINNED_CSVS.items():
+        assert _hashes(tmp_path / name) == pins, name
+    assert _hashes(tmp_path / "verify") == {"errata.csv": ERRATA_SEED_1}
 
 
 # SHA-256 of every CSV each command writes; a refactor must keep these bytes
@@ -604,7 +650,7 @@ PINNED_CSVS = {
         "doob.csv": "968ce72f8a0cfa11ff38405862c5dc2cc28532c9985b9d35368795bcc831cdac",
         "drift.csv": "8b40f83aa6a5d1befa14f7e1c9d6c0b1a326b66e313796c8b70ff9e4e9ca5141",
         "trajectories_summary.csv":
-            "afb4ce19a5e80c737524697de105c824dcce9874ed3dbeaf9bd427157e1d6591",
+            "560ab66ff4462cb93d32a48e67cab920504e849b912e107af9c15af2caf9eb66",
     }),
     # 4 100 paths and --threads 2, which has no effect; one 4 MB chunk at N = 40
     "simulate-chunks": (["simulate", "--p", "0.52", "--kelly", "--n", "40", "--paths", "4100",
@@ -634,7 +680,7 @@ PINNED_CSVS = {
         "doob.csv": "d5bfc365c1f7c0eedbc92dde38f6e2563c83faf98d2f42271dec9e2e92b80b0f",
         "drift.csv": "ffe25a47850c6e1233eb003373e799b37b5442c1a6bf72b1990714dbaee53459",
         "trajectories_summary.csv":
-            "aaa0d6566995d1d7d93af0ce0642a0a4c9127266b845af0b0c52e9e6274f6168",
+            "0511cf9854d6e4f70aad394f7a63c6aff63a1ba08100f10cf8b1117f648ee3a8",
     }),
     # a stake past 1/3; the other pins stake at most 0.1
     "simulate-large-stake": (["simulate", "--p", "0.6", "--stake", "0.75", "--n", "40",
@@ -650,7 +696,16 @@ PINNED_CSVS = {
         "doob.csv": "39ec8d718cfef16e2f20d813f9ff06061773e5d4577fbd10905660ed5bbc30b8",
         "drift.csv": "e28681ff318274456e801f20a1812c1d1ca0292f780f7440d0262b5c3be2bf0b",
         "trajectories_summary.csv":
-            "2d0e9a80178d72c16bdb5b45982db88e5bd03d98155438dfa9bde830e010015b",
+            "ae19348d0f1dd76cd7912b2657f0f8dfa68146e61ee1d89f91385bd1b5dc652f",
+    }),
+    # two-thirds Kelly over 1 000 steps: M(I) = W(I) g^(-I) by an array power
+    # read differently here with and without NumPy's AVX-512 kernels
+    "simulate-fractional-wide": (["simulate", "--p", "0.52", "--fraction", "0.6666666666666666",
+                                  "--n", "1000", "--paths", "2000"], {
+        "doob.csv": "af3d6c26d3fef10bdddb08d3f0d45b4b82d5efafe61fc40b6f51f833d2d7296b",
+        "drift.csv": "44f402c90bf22af01f230b819a5863906395391da7d93082e0f640dfad2f714d",
+        "trajectories_summary.csv":
+            "69ae1ddc68052a4799bdebf1e932eab089427cb718492078419f9faf7e912532",
     }),
     # full stake: a loss factor of +0.0, so every losing path is ruined
     "simulate-full-stake": (["simulate", "--p", "0.98", "--stake", "1", "--n", "20",

@@ -646,15 +646,20 @@ def test_linear_expectation_is_guarded_in_log_space():
 
 
 def test_decomposition_where_g_power_leaves_float64():
-    # g^1500 ~ e^742: M(I) and A(I) are taken in log space, with no warning
+    # g^1500 ~ e^742: M(I) against the exact W(I) g^(-I), with g the library's
+    # float, to 1e-14 relative and no absolute slack, though M(I) is near 1e-200
     cfg = SimConfig(w0=1e-200, p=0.9, F=0.8, N=1500, paths=200, seed=1)
     batch = simulate(cfg)
     dec = doob_decompose(batch)
+    g = Fraction(conditional_growth_factor(cfg.p, cfg.F))
     for j, cp in enumerate(batch.checkpoints):
         expected = expected_wealth_linear(cfg.w0, cfg.p, cfg.F, cp)
         assert dec.drift[j] + cfg.w0 == pytest.approx(expected, rel=1e-12)
-        w = batch.checkpoint_wealth[:, j]
-        assert np.allclose(dec.martingale_part[:, j], w * (cfg.w0 / expected), rtol=1e-12)
+        wealth, mart = batch.checkpoint_wealth[:, j].tolist(), dec.martingale_part[:, j].tolist()
+        for w, m in zip(wealth, mart):
+            exact = Fraction(w) / g**cp  # W(I) > 0: no path underflows here
+            rel = float(abs(Fraction(m) - exact) / exact)
+            assert rel <= 1e-14
 
 
 def test_enumeration_guard():
@@ -673,6 +678,22 @@ def test_closed_forms_validate_the_game(closed_form):
                         (1.0, 0.52, -0.1, 10), (1.0, 0.52, 0.04, 0), (1.0, 0.52, 0.04, 2.5)):
         with pytest.raises(DomainError):
             closed_form(w0, p, F, N)
+
+
+@pytest.mark.parametrize("closed_form, game, log_growth", [
+    (expected_wealth_linear, (1.0, 1.0, 1.0, 1500), 1500 * math.log(2.0)),  # g = 2
+    (expected_wealth_product, (1.0, 1.0, 1.0, 1500), 1500 * math.log(2.0)),  # (1 + F) (1 - 0)
+    (expected_wealth_exponential, (1.0, 1.0, 0.1, 10000), 1000.0),  # N F (2p - 1)
+    (expected_wealth_enumeration, (1.0, 0.52, 1.0, 2000), None),  # W(N) = 2^2000
+], ids=["linear", "product", "exponential", "enumeration"])
+def test_closed_forms_guard_float64(closed_form, game, log_growth):
+    # E[W(N)] beyond float64 is a ResourceGuardError, never an OverflowError;
+    # in the closed forms a small w0 brings a growth beyond float64 back into range
+    with pytest.raises(ResourceGuardError):
+        closed_form(*game)
+    if log_growth is not None:
+        value = closed_form(1e-300, *game[1:])
+        assert value == pytest.approx(math.exp(math.log(1e-300) + log_growth), rel=1e-12)
 
 
 # ------------------------------------------------------ drift and ruin

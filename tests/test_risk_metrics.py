@@ -25,7 +25,7 @@ from kellybench import (
     wealth_approx,
 )
 from kellybench.bernoulli_core import ENUMERATION_GUARD
-from kellybench.risk_metrics import _check_variance_fits, log_variance
+from kellybench.risk_metrics import _check_variance_fits, _paper_variance, log_variance
 
 
 def exact_product(w0: float, F: float, counts: TrialCounts) -> float:
@@ -214,6 +214,16 @@ def test_volatility_is_square_root_of_variance():
     frac = tradeoff_table(0.52, [2.0 / 3.0], 1000, 1000.0)[0]
     rep = variance_report(1000.0, 0.52, frac.F, 1000)
     assert frac.volatility == math.sqrt(rep.paper_estimate)
+
+
+def test_volatility_scales_exactly_where_w0_squared_leaves_float64():
+    # w0^2 = 2^(+-1200) is beyond float64 both ways; sigma = w0 sqrt(2 N p q) F is not
+    f_grid = [0.5, 2.0 / 3.0, 1.0]
+    unit = tradeoff_table(0.52, f_grid, 1000, 1.0)
+    for e in (600, -600):
+        rows = tradeoff_table(0.52, f_grid, 1000, math.ldexp(1.0, e))
+        assert [r.volatility for r in rows] == [math.ldexp(r.volatility, e) for r in unit]
+    assert _paper_variance(math.ldexp(1.0, 600), 0.52, unit[0].F, 1000) == math.inf
 
 
 def test_variance_oracle_matches_monte_carlo():
