@@ -1,8 +1,9 @@
 """Binomial game primitives, and the input rules of every game.
 
-The binomial PMF of the win count and its moments, the exact covariance of
-the win and loss counts, and moment-generating functions with brute-force
-oracles. Every enumeration oracle reads the PMF from one integer core.
+The binomial law of the win count, the exact covariance of the win and loss
+counts, and moment-generating functions. Every enumeration oracle is
+`BinomialSpec.expect` over the terms of one integer core, in scalar floats
+with libm calls and no NumPy, so no oracle's bytes depend on the CPU.
 
 The losses are complementary, V = N - U, so COV(U, V) = -Np(1-p) and the
 net win count U - V = 2U - N has variance 4Np(1-p). The published
@@ -16,8 +17,9 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ResourceGuardError
@@ -76,7 +78,7 @@ def _check_game(w0: float, p: float, F: float, N: int) -> None:
 
 @dataclass(frozen=True)
 class BinomialSpec:
-    """N independent trials with per-trial success probability p."""
+    """The law of the win count U of N independent trials, each won with probability p."""
 
     N: int
     p: float
@@ -84,6 +86,21 @@ class BinomialSpec:
     def __post_init__(self) -> None:
         _check_count(self.N, "trial count")
         _check_p(self.p)
+
+    @cached_property
+    def probs(self) -> tuple[float, ...]:
+        """P(U = k) for k = 0..N, each core term rounded once (int / int rounds correctly)."""
+        return tuple(m / (1 << -e) for m, e in _pmf_terms(self.N, self.p))
+
+    @cached_property
+    def log_probs(self) -> tuple[float, ...]:
+        """log P(U = k) for k = 0..N, finite also where P underflows float64."""
+        return tuple(math.log(math.ldexp(m, -_BITS)) + (e + _BITS) * _LN2 if m else -math.inf
+                     for m, e in _pmf_terms(self.N, self.p))
+
+    def expect(self, values: Iterable[float]) -> float:
+        """E[values[U]]: the fsum of P(U = k) values[k] over k = 0..N."""
+        return math.fsum(P * v for P, v in zip(self.probs, values, strict=True))
 
 
 @dataclass(frozen=True)
@@ -107,6 +124,11 @@ class Moments:
     variance: float
 
 
+def _check_enumerable(N: int) -> None:
+    if N + 1 > ENUMERATION_GUARD:
+        raise ResourceGuardError(f"enumeration over {N + 1} terms exceeds guard")
+
+
 def _normalized(m: int, e: int) -> tuple[int, int]:
     """m 2^e with m cut or widened to _BITS significant bits."""
     s = m.bit_length() - _BITS
@@ -123,8 +145,7 @@ def _pmf_terms(N: int, p: float) -> Iterator[tuple[int, int]]:
     exact rational (about 1e-34 at N = 10^4), and rounds to its float64
     unless the rational lies that close to a rounding boundary.
     """
-    if N + 1 > ENUMERATION_GUARD:
-        raise ResourceGuardError(f"enumeration over {N + 1} terms exceeds guard")
+    _check_enumerable(N)
     N = int(N)  # a numpy integer would overflow in the products below
     a, d = p.as_integer_ratio()
     b, log_d = d - a, d.bit_length() - 1
@@ -145,19 +166,17 @@ def _pmf_terms(N: int, p: float) -> Iterator[tuple[int, int]]:
 
 
 def log_pmf_array(spec: BinomialSpec) -> np.ndarray:
-    """log P(U = alpha) for alpha = 0..N, finite also where P underflows float64."""
+    """`spec.log_probs` as an array."""
     import numpy as np
 
-    return np.fromiter((math.log(math.ldexp(m, -_BITS)) + (e + _BITS) * _LN2 if m else -math.inf
-                        for m, e in _pmf_terms(spec.N, spec.p)), float, spec.N + 1)
+    return np.array(spec.log_probs)
 
 
 def pmf_array(spec: BinomialSpec) -> np.ndarray:
-    """P(U = alpha) for alpha = 0..N, each term of the core rounded once to
-    float64 (int / int rounds correctly), subnormal tails included."""
+    """`spec.probs` as an array."""
     import numpy as np
 
-    return np.fromiter((m / (1 << -e) for m, e in _pmf_terms(spec.N, spec.p)), float, spec.N + 1)
+    return np.array(spec.probs)
 
 
 def moments(spec: BinomialSpec) -> Moments:
@@ -167,13 +186,10 @@ def moments(spec: BinomialSpec) -> Moments:
 
 def _enumerated_count_moments(N: int, p: float) -> tuple[float, float, float]:
     """(E[U], Var[U], COV(U, N-U)) by two-pass summation over the support."""
-    import numpy as np
-
-    probs = pmf_array(BinomialSpec(N=N, p=p))
-    wins, losses = np.arange(N + 1.0), np.arange(N, -1.0, -1.0)
-    eu, ev = math.fsum(probs * wins), math.fsum(probs * losses)
-    var = math.fsum(probs * (wins - eu) ** 2)
-    return eu, var, math.fsum(probs * (wins - eu) * (losses - ev))
+    law = BinomialSpec(N=N, p=p)
+    eu, ev = law.expect(range(N + 1)), law.expect(range(N, -1, -1))
+    var = law.expect([(k - eu) * (k - eu) for k in range(N + 1)])
+    return eu, var, law.expect([(k - eu) * (N - k - ev) for k in range(N + 1)])
 
 
 def covariance_uv(N: int, p: float) -> float:
@@ -196,9 +212,8 @@ def log_mgf(spec: BinomialSpec, xi: float) -> float:
         return 0.0
     if p == 1.0:
         return spec.N * xi
-    import numpy as np
-
-    return spec.N * float(np.logaddexp(math.log1p(-p), math.log(p) + xi))
+    lo, hi = sorted((math.log1p(-p), math.log(p) + xi))
+    return spec.N * (hi + math.log1p(math.exp(lo - hi)))
 
 
 def mgf(spec: BinomialSpec, xi: float) -> float:
@@ -215,11 +230,9 @@ def mgf_bruteforce(spec: BinomialSpec, xi: float) -> float:
     """E[exp(xi U)] by direct summation over the PMF; the oracle for mgf()."""
     if not math.isfinite(xi):
         raise DomainError(f"mgf argument {xi!r} must be finite")
-    import numpy as np
-
-    log_terms = xi * np.arange(spec.N + 1) + log_pmf_array(spec)
-    top = float(log_terms.max())  # shifted by the largest term, so no exp overflows
-    total = top + math.log(math.fsum(np.exp(log_terms - top)))
+    log_terms = [xi * k + lp for k, lp in enumerate(spec.log_probs)]
+    top = max(log_terms)  # shifted by the largest term, so no exp overflows
+    total = top + math.log(math.fsum(math.exp(t - top) for t in log_terms))
     if total > _LOG_FLOAT_MAX:
         raise ResourceGuardError("brute-force mgf overflows float64; use log_mgf")
     return math.exp(total)

@@ -138,7 +138,8 @@ def cmd_analyze(args, parser) -> tuple[int, list[Table]]:
             [[p, part.f_kelly, part.f_star, part.f_star_approx, part.epsilon]],
         ))
     else:
-        print("no positive edge: partition omitted", file=sys.stderr)
+        nan_note = "; utility_at_kelly written as nan" if p < 0.5 else ""
+        print(f"no positive edge: partition omitted{nan_note}", file=sys.stderr)
 
     h = shannon(p)
     u_at_kelly = utility(kelly_fraction(p), p) if p >= 0.5 else float("nan")
@@ -193,7 +194,8 @@ def cmd_simulate(args, parser) -> tuple[int, list[Table]]:
     batch = simulate(config)
     try:
         dec = doob_decompose(batch)
-    except DomainError:  # outside the growth regime: mean_M is nan
+    except DomainError as exc:  # outside the growth regime
+        print(f"doob: {exc}; mean_M written as nan", file=sys.stderr)
         dec = None
 
     lam_ref = args.lam if args.lam is not None else 1.5 * config.w0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bernoulli_core import BinomialSpec, _check_p, log_pmf_array, pmf_array
+from .bernoulli_core import BinomialSpec, _check_p
 from .utility_kelly import kelly_fraction, utility
 
 
@@ -42,21 +42,15 @@ def binomial_entropy_forms(spec: BinomialSpec) -> tuple[float, float]:
     algebraically identical; both are returned so the agreement can be
     asserted externally.
     """
-    import numpy as np
-
     N, s = spec.N, spec.p
-    probs, logp = pmf_array(spec), log_pmf_array(spec)
-    direct = 0.0 - math.fsum(probs[probs > 0.0] * logp[probs > 0.0])
-
-    alpha = np.arange(N + 1)
-    log_comb = [math.lgamma(N + 1) - math.lgamma(a + 1) - math.lgamma(N - a + 1)
-                for a in range(N + 1)]
-    expanded = 0.0 - math.fsum(probs * log_comb)
-    # skipped terms carry zero mass: 0 * log(0) := 0
+    # 0 * log(0) := 0: a -inf log counts as 0, and a sum over zero mass is skipped
+    direct = 0.0 - spec.expect([lp if lp > -math.inf else 0.0 for lp in spec.log_probs])
+    expanded = 0.0 - spec.expect([math.lgamma(N + 1) - math.lgamma(a + 1) - math.lgamma(N - a + 1)
+                                  for a in range(N + 1)])
     if s > 0.0:
-        expanded -= math.fsum(probs * alpha) * math.log(s)
+        expanded -= spec.expect(range(N + 1)) * math.log(s)
     if s < 1.0:
-        expanded -= math.fsum(probs * (N - alpha)) * math.log1p(-s)
+        expanded -= spec.expect(range(N, -1, -1)) * math.log1p(-s)
     return direct, expanded
 
 

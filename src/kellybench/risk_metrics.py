@@ -4,24 +4,24 @@ the fractional-Kelly trade-off.
 
 The published variance estimate inherits the independent-counts assumption
 (net-win variance 2Np(1-p)); the exact variance makes no such assumption.
-`log_variance` is its closed form, and `variance_report` sums it over the
-exact binomial PMF as the independent oracle. The estimate and the oracle
-are always reported side by side instead of arbitrating between them.
+`log_variance` is its closed form. The enumeration oracles of E[W(N)] and
+Var[W(N)] are `BinomialSpec.expect` over the integer core's terms of
+W_k = w0 (1+F)^k (1-F)^(N-k), with scalar libm powers and no NumPy. The
+estimate and the oracle are always reported side by side instead of
+arbitrating between them.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .bernoulli_core import _LOG_FLOAT_MAX, _LOG_FLOAT_TINY, BinomialSpec, TrialCounts, pmf_array
-from .bernoulli_core import _check_count, _check_fp, _check_game, _check_p, _check_threshold
+from .bernoulli_core import _LOG_FLOAT_MAX, _LOG_FLOAT_TINY, BinomialSpec, TrialCounts, _check_count
+from .bernoulli_core import _check_enumerable, _check_fp, _check_game, _check_p, _check_threshold
 from .errors import ApproximationDomainError, DomainError, ResourceGuardError
 from .utility_kelly import kelly_fraction, utility
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # guard on the stake for the binomial-series wealth expansion
 WEALTH_APPROX_MAX_F = 0.2
@@ -50,20 +50,30 @@ def conditional_growth_factor(p: float, F: float) -> float:
     return 1.0 + F * (2.0 * p - 1.0)
 
 
-def _scaled_power(w0: float, base: float, N: int, F: float) -> float:
-    """w0 * base^N for base >= 0, the closed forms' E[W(N)].
+def _scaled(w0: float, power: Callable[[], float], log_mean: float, N: int, F: float) -> float:
+    """w0 * power(), a closed form's E[W(N)], whose log is log_mean.
 
     A value beyond float64 range is a ResourceGuardError, not an
-    OverflowError escaping to the caller. The test is on log w0 + N log base,
-    since a small w0 brings some base^N beyond float64 back into range.
+    OverflowError escaping to the caller. The test is on log_mean, since a
+    small w0 brings some powers beyond float64 back into range, and a large
+    w0 some below it: where power() alone overflows, or underflows though
+    the product is a normal float, the value is exp(log_mean).
     """
-    log_mean = math.log(w0) + N * math.log(base) if base > 0.0 else -math.inf
     if log_mean > _LOG_FLOAT_MAX:
         raise ResourceGuardError(f"expected wealth overflows float64 at N={N}, F={F!r}")
     try:
-        return w0 * base**N
-    except OverflowError:  # base^N alone is beyond float64, w0 base^N is not
+        value = w0 * power()
+    except OverflowError:
         return math.exp(log_mean)
+    if value < sys.float_info.min and log_mean >= _LOG_FLOAT_TINY:  # power() underflowed
+        return math.exp(log_mean)
+    return value
+
+
+def _scaled_power(w0: float, base: float, N: int, F: float) -> float:
+    """w0 * base^N for base >= 0, guarded as in `_scaled`."""
+    log_mean = math.log(w0) + N * math.log(base) if base > 0.0 else -math.inf
+    return _scaled(w0, lambda: base**N, log_mean, N, F)
 
 
 def expected_wealth_linear(w0: float, p: float, F: float, N: int) -> float:
@@ -85,40 +95,32 @@ def expected_wealth_product(w0: float, p: float, F: float, N: int) -> float:
 
 
 def expected_wealth_exponential(w0: float, p: float, F: float, N: int) -> float:
-    """Small-stake exponential estimate w0 * exp(N F (p - q)); ResourceGuardError
-    beyond float64, tested on log w0 + N F (p - q) as in `_scaled_power`."""
+    """Small-stake exponential estimate w0 * exp(N F (p - q)); guarded as in
+    `_scaled`, on log w0 + N F (p - q)."""
     _check_game(w0, p, F, N)
     if F > 0.1:
         raise ApproximationDomainError(f"exponential estimate requires F <= 0.1, got {F!r}")
     exponent = N * F * (2.0 * p - 1.0)
-    log_mean = math.log(w0) + exponent
-    if log_mean > _LOG_FLOAT_MAX:
-        raise ResourceGuardError(f"expected wealth overflows float64 at N={N}, F={F!r}")
+    return _scaled(w0, lambda: math.exp(exponent), math.log(w0) + exponent, N, F)
+
+
+def _wealth_terms(w0: float, F: float, N: int) -> list[float]:
+    """W(N) = w0 (1+F)^k (1-F)^(N-k) for k = 0..N; ResourceGuardError where one
+    leaves float64, or where N + 1 terms exceed the core's ENUMERATION_GUARD."""
+    _check_enumerable(N)
     try:
-        return w0 * math.exp(exponent)
-    except OverflowError:  # exp alone is beyond float64, w0 exp is not
-        return math.exp(log_mean)
-
-
-def _enumerated_wealth(w0: float, p: float, F: float, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """P(U = k) and W(N) = w0 (1+F)^k (1-F)^(N-k) for k = 0..N, the terms of
-    the enumeration oracles; ResourceGuardError where a W(N) leaves float64."""
-    import numpy as np
-
-    probs = pmf_array(BinomialSpec(N=N, p=p))
-    alpha = np.arange(N + 1.0)
-    try:
-        with np.errstate(over="raise"):
-            return probs, w0 * (1.0 + F) ** alpha * (1.0 - F) ** (N - alpha)
-    except FloatingPointError:
-        raise ResourceGuardError(f"enumerated wealth overflows float64 at N={N}, F={F!r}") from None
+        w = [w0 * (1.0 + F) ** k * (1.0 - F) ** (N - k) for k in range(N + 1)]
+        if all(map(math.isfinite, w)):
+            return w
+    except OverflowError:  # a power alone is beyond float64
+        pass
+    raise ResourceGuardError(f"enumerated wealth overflows float64 at N={N}, F={F!r}")
 
 
 def expected_wealth_enumeration(w0: float, p: float, F: float, N: int) -> float:
     """Exact E[W(N)] by summation over the binomial win count; the oracle."""
     _check_game(w0, p, F, N)
-    probs, w = _enumerated_wealth(w0, p, F, N)
-    return math.fsum(probs * w)
+    return BinomialSpec(N=N, p=p).expect(_wealth_terms(w0, F, N))
 
 
 def ruin_probability_full_stake(p: float, N: int) -> float:
@@ -207,14 +209,12 @@ def variance_report(w0: float, p: float, F: float, N: int) -> VarianceReport:
     if F == 0.0 or p in (0.0, 1.0):
         oracle = 0.0
     else:
-        import numpy as np
-
-        probs, w = _enumerated_wealth(w0, p, F, N)
-        scale = math.frexp(w.max())[1]
-        x = np.ldexp(w, -scale)
-        mean = math.fsum(probs * x)
+        law, w = BinomialSpec(N=N, p=p), _wealth_terms(w0, F, N)
+        scale = math.frexp(max(w))[1]
+        x = [math.ldexp(v, -scale) for v in w]
+        mean = law.expect(x)
         try:
-            oracle = math.ldexp(math.fsum(probs * (x - mean) ** 2), 2 * scale)
+            oracle = math.ldexp(law.expect([(v - mean) * (v - mean) for v in x]), 2 * scale)
         except OverflowError:
             raise ResourceGuardError(f"variance overflows float64 at N={N}, F={F!r}") from None
     return VarianceReport(paper_estimate=_paper_variance(w0, p, F, N), oracle_exact=oracle)

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,12 @@ from kellybench import (
     mgf,
     mgf_bruteforce,
     moments,
+    expected_wealth_enumeration,
     net_wins_variance,
     pmf_array,
+    variance_report,
 )
-from kellybench.bernoulli_core import log_pmf_array
+from kellybench.bernoulli_core import _enumerated_count_moments, log_pmf_array
 
 
 def exact_pmf(N: int, p: Fraction, alpha: int) -> Fraction:
@@ -97,6 +100,48 @@ def test_pmf_degenerate_endpoints():
 def test_pmf_normalizes_across_probability_grid(N):
     for p in np.arange(0.01, 1.0, 0.07):
         assert abs(float(pmf_array(BinomialSpec(N=N, p=float(p))).sum()) - 1.0) < 1e-12
+
+
+def ulps(x: float, exact: Fraction) -> Fraction:
+    """|x - exact| in units of the last place of exact's float."""
+    return abs(Fraction(x) - exact) / Fraction(math.ulp(float(exact)))
+
+
+@pytest.mark.parametrize("N", range(1, 13))
+def test_law_matches_exact_rationals(N):
+    # each oracle is the law's expect over the rounded terms of one integer
+    # core. With the library's floats 1 + F and 1 - F as W(N)'s bases:
+    # E[U], Var[U], COV and E[W(N)] are within 2 ulps of their exact
+    # rationals. Var[W(N)] is within 64: it subtracts the mean from terms
+    # near it, which costs about 1/F ulps at F = 0.04. The brute-force MGF is
+    # within 64 of a 60-digit sum: it is exp of a log-sum of up to |log P|.
+    for p in (0.0, 0.1, 0.5, 0.52, 0.9, 1.0):
+        probs = [exact_pmf(N, Fraction(p), k) for k in range(N + 1)]
+        eu = sum(P * k for k, P in enumerate(probs))
+        var = sum(P * (k - eu) ** 2 for k, P in enumerate(probs))
+        for value, exact in zip(_enumerated_count_moments(N, p), (eu, var, -var)):
+            assert ulps(value, exact) <= 2, (p, exact)
+        assert ulps(net_wins_variance(N, p), 4 * var) <= 2
+        for F in (0.04, 0.5):
+            w = [1000 * Fraction(1.0 + F) ** k * Fraction(1.0 - F) ** (N - k) for k in range(N + 1)]
+            ew = sum(P * x for P, x in zip(probs, w))
+            assert ulps(expected_wealth_enumeration(1000.0, p, F, N), ew) <= 2
+            vw = sum(P * (x - ew) ** 2 for P, x in zip(probs, w))
+            assert ulps(variance_report(1000.0, p, F, N).oracle_exact, vw) <= 64
+            for xi in (math.log1p(F), math.log1p(-F)):
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    m = sum(Decimal(P.numerator) / P.denominator * (Decimal(xi) * k).exp()
+                            for k, P in enumerate(probs))
+                assert ulps(mgf_bruteforce(BinomialSpec(N=N, p=p), xi), Fraction(m)) <= 64
+
+
+def test_expect_takes_one_value_per_win_count():
+    law = BinomialSpec(N=3, p=0.5)
+    assert law.expect([8.0, 0.0, 0.0, 8.0]) == 2.0
+    for values in ([1.0] * 3, [1.0] * 5):
+        with pytest.raises(ValueError):
+            law.expect(values)
 
 
 # --------------------------------------------------------------- moments

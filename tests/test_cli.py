@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -62,7 +63,11 @@ def test_analyze_without_edge_omits_partition(tmp_path, capsys):
     assert main(["analyze", "--p", "0.4", "--out", str(tmp_path)]) == 0
     assert not (tmp_path / "partition.csv").exists()
     assert (tmp_path / "utility_curve.csv").exists()
-    assert "partition omitted" in capsys.readouterr().err
+    # p < 1/2: no Kelly stake in [0, 1], so entropy.csv's utility_at_kelly is nan
+    assert capsys.readouterr().err == (
+        "no positive edge: partition omitted; utility_at_kelly written as nan\n")
+    header, rows = read_rows(tmp_path / "entropy.csv")
+    assert dict(zip(header, rows[0]))["utility_at_kelly"] == "nan"
 
 
 @pytest.mark.parametrize("p, nan_columns, lines", [
@@ -197,8 +202,9 @@ def test_simulate_full_stake_drift_has_no_theory(tmp_path, capsys):
     assert float(drift["empirical_drift"]) == math.log(2.0)
     assert float(drift["se"]) == 0.0
     assert int(drift["excluded_ruined"]) > 0
+    # U(1, p) < 0 is outside the growth regime, so mean_M is nan too
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "nan" in err[0]
+    assert len(err) == 2 and err[0].endswith("mean_M written as nan") and "nan" in err[1]
 
 
 @pytest.mark.parametrize("argv, rate", [
@@ -214,8 +220,22 @@ def test_simulate_deterministic_game_writes_no_z_score(tmp_path, capsys, argv, r
     assert float(drift["empirical_drift"]) == 1000 * rate / 1000
     assert float(drift["se"]) == 0.0 and drift["z_score"] == "nan"
     assert float(drift["theory"]) == pytest.approx(rate, rel=1e-15)
+    # p = 0 has no growth regime, so its mean_M is nan and says so first
+    notes = ["same win count"] if rate > 0.0 else ["mean_M written as nan", "same win count"]
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "same win count" in err[0]
+    assert len(err) == len(notes) and all(n in e for n, e in zip(notes, err))
+
+
+def test_simulate_names_mean_M_where_it_is_nan(tmp_path, capsys):
+    # a fair game is outside the growth regime: mean_M is nan in every row
+    # and one stderr line says so; the other columns are written as ever
+    argv = ["simulate", "--p", "0.5", "--stake", "0.1", "--n", "40", "--paths", "200"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    header, rows = read_rows(tmp_path / "trajectories_summary.csv")
+    assert [dict(zip(header, row))["mean_M"] for row in rows] == ["nan"] * 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("doob: ")
+    assert err[0].endswith("; mean_M written as nan")
 
 
 def test_simulate_refuses_few_paths_before_the_batch(tmp_path, capsys, monkeypatch):
@@ -598,6 +618,28 @@ def test_closed_form_and_simulate_commands_load_no_scipy(tmp_path):
     assert _hashes(tmp_path / "verify") == {"errata.csv": ERRATA_SEED_1}
 
 
+_ORACLES_NO_NUMPY_CHILD = """
+import math, sys
+from kellybench import BinomialSpec, covariance_uv, expected_wealth_enumeration, log_mgf, mgf
+from kellybench import mgf_bruteforce, net_wins_variance, variance_report
+from kellybench.entropy import binomial_entropy_forms
+spec = BinomialSpec(N=200, p=0.52)
+values = [covariance_uv(200, 0.52), net_wins_variance(200, 0.52), log_mgf(spec, 0.3),
+          mgf(spec, 0.3), mgf_bruteforce(spec, 0.3), *binomial_entropy_forms(spec),
+          expected_wealth_enumeration(1000.0, 0.52, 0.04, 200),
+          variance_report(1000.0, 0.52, 0.04, 200).oracle_exact]
+assert all(map(math.isfinite, values)), values
+print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+"""
+
+
+def test_enumeration_oracles_load_no_numpy():
+    # every sum over the win count is the law's expect in scalar floats
+    proc = _run_child(_ORACLES_NO_NUMPY_CHILD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 try:  # NumPy's run-time dispatched CPU features, and whether each is on
     from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 except ImportError:  # NumPy 1.x
@@ -618,14 +660,17 @@ print(json.dumps([k for k in __cpu_dispatch__ if __cpu_features__[k]]))
 """
 
 
+def _warn_without_dispatch():
+    if not any(__cpu_features__[k] for k in __cpu_dispatch__):
+        warnings.warn(f"this CPU has none of NumPy's dispatched features {list(__cpu_dispatch__)}:"
+                      " the child runs the kernels of this process, so the test checks less")
+
+
 def test_pinned_bytes_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
     # with every kernel that NumPy picks at run time switched off, the child
     # runs the baseline loops: a pinned byte that came from a SIMD kernel of
     # this CPU (an array power, exp or log) would read differently there
-    native = [k for k in __cpu_dispatch__ if __cpu_features__[k]]
-    if not native:
-        warnings.warn(f"this CPU has none of NumPy's dispatched features {list(__cpu_dispatch__)}:"
-                      " the child runs the kernels of this process, so the test checks less")
+    _warn_without_dispatch()
     commands = {name: argv for name, (argv, _) in PINNED_CSVS.items()}
     proc = _run_child(_DISPATCH_OFF_CHILD, str(tmp_path), json.dumps(commands),
                       NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
@@ -634,6 +679,55 @@ def test_pinned_bytes_do_not_depend_on_numpy_cpu_dispatch(tmp_path):
     for name, (_, pins) in PINNED_CSVS.items():
         assert _hashes(tmp_path / name) == pins, name
     assert _hashes(tmp_path / "verify") == {"errata.csv": ERRATA_SEED_1}
+
+
+ORACLES = ("expected_wealth_enumeration", "variance_report", "mgf_bruteforce", "log_mgf")
+
+
+def _oracle_hexes() -> list[list[str]]:
+    """float.hex of each of ORACLES at 400 seeded games (p, F, N) with
+    w0 = 1000 and xi = log(1 - F), or "guard" where it refuses the game."""
+
+    def read(value):
+        try:
+            return value().hex()
+        except kellybench.ResourceGuardError:
+            return "guard"
+
+    rng = random.Random(36)
+    hexes = []
+    for _ in range(400):
+        p, F, N = rng.uniform(0.3, 0.95), rng.uniform(0.001, 0.5), rng.randint(1, 1000)
+        spec, xi = kellybench.BinomialSpec(N=N, p=p), math.log1p(-F)
+        hexes.append([read(lambda: kellybench.expected_wealth_enumeration(1000.0, p, F, N)),
+                      read(lambda: kellybench.variance_report(1000.0, p, F, N).oracle_exact),
+                      read(lambda: kellybench.mgf_bruteforce(spec, xi)),
+                      read(lambda: kellybench.log_mgf(spec, xi))])
+    return hexes
+
+
+_ORACLES_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from test_cli import __cpu_dispatch__, __cpu_features__, _oracle_hexes
+print(json.dumps(_oracle_hexes()))
+print(json.dumps([k for k in __cpu_dispatch__ if __cpu_features__[k]]))
+"""
+
+
+def test_oracles_do_not_depend_on_numpy_cpu_dispatch():
+    # the enumeration oracles that verify checks the closed forms against
+    # take scalar libm calls only, so a child with every dispatched kernel
+    # off reads the bytes of this process at every game
+    _warn_without_dispatch()
+    proc = _run_child(_ORACLES_CHILD, str(Path(__file__).parent),
+                      NPY_DISABLE_CPU_FEATURES=" ".join(__cpu_dispatch__))
+    assert proc.returncode == 0, proc.stderr
+    child, on = map(json.loads, proc.stdout.splitlines()[-2:])
+    assert on == []  # every one was off in the child
+    ours = _oracle_hexes()
+    moved = {name: sum(a[j] != b[j] for a, b in zip(child, ours)) for j, name in enumerate(ORACLES)}
+    assert moved == dict.fromkeys(ORACLES, 0)
 
 
 # SHA-256 of every CSV each command writes; a refactor must keep these bytes

@@ -4,6 +4,7 @@ import math
 import threading
 import tracemalloc
 from dataclasses import replace
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -694,6 +695,18 @@ def test_closed_forms_guard_float64(closed_form, game, log_growth):
     if log_growth is not None:
         value = closed_form(1e-300, *game[1:])
         assert value == pytest.approx(math.exp(math.log(1e-300) + log_growth), rel=1e-12)
+
+
+@pytest.mark.parametrize("closed_form, game, exact", [
+    (expected_wealth_linear, (1e300, 0.0, 0.5, 2000), Fraction(1e300) / 2**2000),  # g = 1/2
+    (expected_wealth_product, (1e300, 0.0, 0.5, 2000), Fraction(1e300) / 2**2000),
+    (expected_wealth_exponential, (1e300, 0.0, 0.1, 7500),  # N F (2p - 1) = -750
+     Decimal(1e300) * Decimal(-750).exp(Context(prec=40))),
+], ids=["linear", "product", "exponential"])
+def test_closed_forms_keep_a_normal_value_whose_power_underflows(closed_form, game, exact):
+    # g^N or exp(N F (2p - 1)) alone is below float64's normal range, where
+    # w0 times it is not: the value is read from its log, not rounded to 0
+    assert math.isclose(closed_form(*game), float(exact), rel_tol=1e-12)  # no absolute slack
 
 
 # ------------------------------------------------------ drift and ruin

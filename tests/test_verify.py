@@ -2,8 +2,10 @@
 accuracy of its enumeration oracles."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,3 +175,15 @@ def test_enumeration_oracles_agree_with_rational_enumeration(claim_id, exact):
     oracle = _evaluate(claim(claim_id), Run(SCALES["quick"], 1)).oracle_value
     truth = exact()
     assert abs(Fraction(oracle) - truth) <= Fraction(1e-14) * abs(truth)
+
+
+def test_readme_findings_table_is_the_registry():
+    # one row a claim, in the registry's order, with its expected verdict:
+    # a new row or a flipped expectation fails until the README says so
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    findings = readme.split("\n## Findings\n", 1)[1].split("\n## ", 1)[0]
+    rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in findings.splitlines()
+            if re.match(r"\| [1-5E] \|", line)]
+    assert all(len(cells) == 5 for cells in rows)
+    pairs = [(cells[1].strip().strip("`"), cells[3].strip()) for cells in rows]
+    assert pairs == [(c.claim_id, c.expected) for c in _CLAIMS]
