@@ -7,20 +7,38 @@ cancellation. Path k's uniforms are exactly
 reproducible regardless of chunking. Building one `default_rng` per path
 spends most of its time in NumPy's SeedSequence hash, so `_pcg64_states`
 computes the PCG64 starting states of a whole chunk of paths at once, in
-uint64 arrays, and the chunk then draws from one native generator, moved to
-each path's substream by writing the four uint64 words of its (state, inc)
-straight into the generator's memory. Where those words sit is NumPy's
-private layout, so a probe writes a known (state, inc) and reads it back
-through the generator's `state` property before any path is drawn; a layout
-it does not know raises KellyBenchError, and nothing is drawn. The tests
-check the states, and the words as `state` reads them, against NumPy's own.
+uint64 arrays. A chunk then draws by one of two routes:
+
+- In uint64 lanes (`_draw_lanes`), every path a step at a time: the
+  128-bit LCG step and the XSL-RR output (O'Neill 2014) run as about 32
+  array operations across the chunk's paths, and a step's outcomes are
+  (out >> 11) < ceil(p * 2^53), which is exactly NumPy's random() < p.
+- One path at a time, from one native generator a `simulate` call, moved
+  to each path's substream by writing the four uint64 words of its (state,
+  inc) straight into the generator's memory. Where those words sit is
+  NumPy's private layout, so a probe writes a known (state, inc) and reads
+  it back through the generator's `state` property when the first such
+  chunk is drawn; a layout it does not know raises KellyBenchError, and
+  nothing is drawn.
+
+Both stay because each wins where the other loses. A lane step costs about
+0.4 us of call overhead an operation whatever the width, and more a
+path-step than NumPy's own draw; a path at a time costs about 0.9 us a
+path whatever the horizon. So lanes win on short horizons over many paths:
+a chunk is drawn in lanes when the horizon is at most `_LANE_MAX_STEPS`
+(64) steps and the chunk holds at least `_LANE_PATHS_PER_STEP` (30) paths
+a step of it. At mc_wide's 50 steps and 4 359-path chunks the lanes take
+0.64 of the per-path route's simulate time; at 100 steps they never win
+(the crossover table is in BENCH_40.json). The tests check the states, the
+words as `state` reads them and the lanes' outcomes against NumPy's own.
+
 Full paths are never kept: a check needs only the win counts over all N
 steps and, at each checkpoint I, the win count in steps 1..I, W(I) and
 max W(0..I). The checkpoints are the quarters of the horizon unless the
 caller names others.
 
 `simulate` checks the call and cuts the batch into chunks;
-`_simulate_chunk` seeds, writes and draws a chunk's paths tile by tile,
+`_simulate_chunk` seeds and draws a chunk's paths tile by tile,
 writes each tile's wealth over its draws up to the last checkpoint, and
 counts their wins from checkpoint to checkpoint; past the last checkpoint
 it only counts wins. With no checkpoints it draws no wealth at all: the win
@@ -31,17 +49,18 @@ N or on the other checkpoints, and the draw never reads F; so one batch
 serves every check on a prefix of its horizon, at every stake.
 
 Every chunk runs one kernel. Its paths are drawn a time tile at a time,
-one row a path, and their outcomes are written to a (tile, paths) byte
+by either route, and their outcomes are written to a (tile, paths) byte
 table; the tile's wealth is then written, and one walk over its segments
 between checkpoints counts each segment's wins and maxes its wealth in one
 reduction over its rows. The win count, W and max W are carried from
-tile to tile. A chunk of at least `_TILE_PATHS` (256) paths runs the
+tile to tile. A chunk of at least `_ROW_LOOP_PATHS` (160) paths runs the
 recursion one multiply a row across its paths. A row costs about 0.4 us of
 call overhead whatever its width, so a narrower chunk runs `cumprod` down
-each path of the same buffer instead. Either way each path takes the same
+each path of the same buffer instead (the two cross between 144 and 160
+paths, in BENCH_40.json). Either way each path takes the same
 products left to right with one rounding per step, max does not round and
 the counts are integers, so the bytes do not depend on the chunk or tile
-shape.
+shape, or on the draw route.
 
 A chunk's working set is fixed in bytes, not in paths: its draws are
 overwritten by the step factors, one exact integer multiply-add on their
@@ -64,6 +83,7 @@ the law of W(N) that these checks compare against are in `risk_metrics`.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,10 +104,20 @@ MAX_BATCH_BYTES = 1 << 30
 # working-set budget of one chunk: 8 B of draws and 1 B of outcomes a path-step
 _CHUNK_BYTES = 4 << 20
 
-# paths a time tile is sized for, and the fewest that run the recursion one
-# multiply a row across the chunk (see the module docstring): a tile holds
-# the horizon up to 1 763 steps, and 256 paths of 1 763 steps past it
+# paths a time tile is sized for: a tile holds the horizon up to 1 763
+# steps, and 256 paths of 1 763 steps past it
 _TILE_PATHS = 256
+
+# fewest paths of a chunk that run the recursion one multiply a row across
+# the chunk rather than cumprod down each path (see the module docstring)
+_ROW_LOOP_PATHS = 160
+
+# the chunks drawn in uint64 lanes, every path a step at a time: horizons of
+# at most _LANE_MAX_STEPS, in chunks of at least _LANE_PATHS_PER_STEP paths a
+# step of the horizon (crossovers measured in BENCH_40.json); every other
+# chunk draws one path at a time
+_LANE_MAX_STEPS = 64
+_LANE_PATHS_PER_STEP = 30
 
 # fewest paths whose log drift has a meaningful standard error
 _MIN_DRIFT_PATHS = 100
@@ -104,6 +134,13 @@ _XSHIFT = 16
 # low limb's uint32 halves
 _PCG64_MULT_HI, _PCG64_MULT_LO = 2549297995355413924, 4865540595714422341
 _MULT_LO1, _MULT_LO0 = _PCG64_MULT_LO >> 32, _PCG64_MULT_LO & _MASK32
+# the same as 0-d uint64 arrays for the lanes, so that every operand is a
+# uint64 under NEP 50 and under value-based casting alike (a numpy scalar
+# operand costs about 0.2 us more a call)
+_U_MASK32, _U32, _U_ROT, _U_DOUBLE, _U_ONE, _U_63 = (
+    np.array(v, dtype=np.uint64) for v in (_MASK32, 32, 58, 11, 1, 63))
+_U_MULT_HI, _U_MULT_LO, _U_MULT_LO1, _U_MULT_LO0 = (
+    np.array(v, dtype=np.uint64) for v in (_PCG64_MULT_HI, _PCG64_MULT_LO, _MULT_LO1, _MULT_LO0))
 
 # where NumPy's pcg64_random_t keeps the words (state_lo, state_hi, inc_lo,
 # inc_hi): memory word j is word layout[j]. A __uint128_t, little-endian as
@@ -277,6 +314,70 @@ def _pcg64_words(bit_gen: np.random.PCG64) -> tuple[np.ndarray, tuple[int, ...]]
     )
 
 
+def _native_stream() -> tuple[np.random.Generator, np.ndarray, tuple[int, ...]]:
+    """One native PCG64 generator, the writable view of its state words and
+    their layout (see `_pcg64_words`): the view lives as long as the tuple."""
+    bit_gen = np.random.PCG64()
+    words, layout = _pcg64_words(bit_gen)
+    return np.random.Generator(bit_gen), words, layout
+
+
+def _draw_lanes(lanes: np.ndarray, won: np.ndarray, p: float) -> None:
+    """Step every path's PCG64 once a row of `won` and write the row's
+    outcomes, random() < p, one uint64 lane a path.
+
+    `lanes` holds the rows (state_lo, state_hi, inc_lo, inc_hi), one column
+    a path, and is left at the state of each path's last draw. A step is
+    state * MULT + inc mod 2^128: the high limb of lo * MULT_LO + inc_lo is
+    summed from 32-bit partial products, so no carry is compared. The draw
+    is PCG64's XSL-RR output, and NumPy's random() is (out >> 11) * 2^-53,
+    so random() < p is exactly (out >> 11) < ceil(p * 2^53). Every operand
+    is a uint64 array, and no shift is by 64 or more.
+    """
+    lo, hi, inc_lo, inc_hi = lanes
+    inc0, inc1 = inc_lo & _U_MASK32, inc_lo >> _U32
+    below = np.array(math.ceil(math.ldexp(p, 53)), dtype=np.uint64)
+    a0, a1, t, w, x = (np.empty_like(lo) for _ in range(5))
+    for row in won:
+        # with lo = a1:a0 and MULT_LO = m1:m0 in 32-bit halves, each partial
+        # sum below stays under 2^64; a1 ends as the high limb
+        np.bitwise_and(lo, _U_MASK32, out=a0)
+        np.right_shift(lo, _U32, out=a1)
+        np.multiply(a0, _U_MULT_LO0, out=t)
+        np.add(t, inc0, out=t)
+        np.right_shift(t, _U32, out=t)
+        np.multiply(a1, _U_MULT_LO0, out=w)
+        np.add(t, w, out=t)
+        np.add(t, inc1, out=t)
+        np.multiply(a0, _U_MULT_LO1, out=w)
+        np.bitwise_and(t, _U_MASK32, out=a0)
+        np.add(w, a0, out=w)
+        np.right_shift(t, _U32, out=t)
+        np.multiply(a1, _U_MULT_LO1, out=a1)
+        np.add(a1, t, out=a1)
+        np.right_shift(w, _U32, out=w)
+        np.add(a1, w, out=a1)
+        # hi = hi * MULT_LO + lo * MULT_HI + inc_hi + that high limb, mod 2^64
+        np.multiply(hi, _U_MULT_LO, out=hi)
+        np.add(hi, a1, out=hi)
+        np.multiply(lo, _U_MULT_HI, out=a1)
+        np.add(hi, a1, out=hi)
+        np.add(hi, inc_hi, out=hi)
+        np.multiply(lo, _U_MULT_LO, out=lo)
+        np.add(lo, inc_lo, out=lo)
+        # XSL-RR: hi ^ lo rotated right by r = hi >> 58; the left part is
+        # shifted by 63 - r and then by 1, which makes it 0 where r is 0
+        np.bitwise_xor(hi, lo, out=x)
+        np.right_shift(hi, _U_ROT, out=a0)
+        np.right_shift(x, a0, out=t)
+        np.bitwise_xor(a0, _U_63, out=a0)
+        np.left_shift(x, a0, out=x)
+        np.left_shift(x, _U_ONE, out=x)
+        np.bitwise_or(x, t, out=x)
+        np.right_shift(x, _U_DOUBLE, out=x)
+        np.less(x, below, out=row)
+
+
 def _write_factors(won: np.ndarray, x: np.ndarray, F: float) -> None:
     """Write the step factor 1 + F Z(I) of each outcome in `won` over the
     spent draws `x` of the same shape.
@@ -293,10 +394,13 @@ def _write_factors(won: np.ndarray, x: np.ndarray, F: float) -> None:
     np.add(bits, lose, out=bits)
 
 
-def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) -> None:
+def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int,
+                    stream) -> None:
     """Simulate paths [start, stop) into their rows of the batch, `tile`
     steps at a time, by the one kernel of the module docstring.
 
+    A tile's outcomes are drawn in uint64 lanes or one path at a time, by
+    the chunk's shape; a path at a time draws from `stream()`'s generator.
     Once a tile's outcomes are written its draws are spent, and their
     buffer, viewed as (steps, paths), takes the step factors and then the
     wealth, up to the last checkpoint. One walk over the tile's segments
@@ -308,12 +412,15 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
     rows = slice(start, stop)
     paths = stop - start
     wins = batch.wins[rows]
-    # one native generator, moved to each path's substream by writing its
-    # state words, through a view that lives no longer than the generator
-    bit_gen = np.random.PCG64()
-    gen = np.random.Generator(bit_gen)
-    words, layout = _pcg64_words(bit_gen)
-    states = _pcg64_states(config.seed, start, stop)[:, layout]
+    lanes = config.N <= _LANE_MAX_STEPS and paths >= _LANE_PATHS_PER_STEP * config.N
+    if lanes:
+        # the rows (state_lo, state_hi, inc_lo, inc_hi), one column a path
+        states = _pcg64_states(config.seed, start, stop).T.copy()
+    else:
+        # one native generator, moved to each path's substream by writing
+        # its state words
+        gen, words, layout = stream()
+        states = _pcg64_states(config.seed, start, stop)[:, layout]
     # the working set, both buffers made before the draw; a shorter last tile
     # uses the front of each buffer
     draws = np.empty(paths * tile)
@@ -325,15 +432,18 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
     j = 0  # the column of the tile's first checkpoint
     for t0 in range(0, config.N, tile):
         width = min(tile, config.N - t0)
-        u = draws[:paths * width].reshape(paths, width)
-        carry = t0 + width < config.N  # the next tile draws on from these words
-        for state, path in zip(states, u):
-            words[...] = state
-            gen.random(out=path)
-            if carry:
-                state[...] = words
         won = outcomes[:width * paths].reshape(width, paths)
-        np.less(u.T, config.p, out=won)
+        if lanes:
+            _draw_lanes(states, won, config.p)
+        else:
+            u = draws[:paths * width].reshape(paths, width)
+            carry = t0 + width < config.N  # the next tile draws on from these words
+            for state, path in zip(states, u):
+                words[...] = state
+                gen.random(out=path)
+                if carry:
+                    state[...] = words
+            np.less(u.T, config.p, out=won)
         ends = [c - t0 for c in cps[j:] if c <= t0 + width]  # rows from 1
         steps = min(width, last - t0)  # the rows that take wealth; none past `last`
         if steps > 0:
@@ -341,7 +451,7 @@ def _simulate_chunk(batch: TrajectoryBatch, start: int, stop: int, tile: int) ->
             _write_factors(won[:steps], x, config.F)
             # W(I) = W(I-1) * (1 + F Z(I)), one rounding per step, from the
             # carried wealth (w0 on the first tile)
-            if paths >= _TILE_PATHS:
+            if paths >= _ROW_LOOP_PATHS:
                 # iterating the rows costs half of indexing each pair
                 prev = wealth
                 for step in x:
@@ -410,8 +520,10 @@ def simulate(config: SimConfig, checkpoints: tuple[int, ...] | None = None) -> T
         checkpoint_wealth=np.empty(shape),
         checkpoint_running_max=np.empty(shape),
     )
+    # one generator for the chunks that draw a path at a time, built on first use
+    stream = functools.cache(_native_stream)
     for start in range(0, config.paths, chunk):
-        _simulate_chunk(batch, start, min(start + chunk, config.paths), tile)
+        _simulate_chunk(batch, start, min(start + chunk, config.paths), tile, stream)
     return batch
 
 

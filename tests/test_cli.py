@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import kellybench
-from kellybench import cli, utility
+from kellybench import cli, martingale_lab, utility
 from kellybench.cli import main
 
 SIM_ARGS = ["--p", "0.52", "--kelly", "--n", "128", "--paths", "600", "--seed", "7"]
@@ -833,6 +833,19 @@ def test_csv_fields_follow_the_value_contract():
 @pytest.mark.parametrize("command", sorted(PINNED_CSVS))
 def test_csv_bytes_are_pinned(tmp_path, command):
     argv, pins = PINNED_CSVS[command]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.glob("*.csv")}
+    assert written == pins
+
+
+def test_lane_route_never_probes_the_state_layout(tmp_path, monkeypatch):
+    # simulate-chunks is one chunk of 4 100 paths at N = 40, drawn in uint64
+    # lanes: no NumPy generator is built, and its private memory is not read
+    def no_probe(bit_gen):
+        raise AssertionError("the lane route probed PCG64's state layout")
+
+    monkeypatch.setattr(martingale_lab, "_pcg64_words", no_probe)
+    argv, pins = PINNED_CSVS["simulate-chunks"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.glob("*.csv")}
     assert written == pins

@@ -105,8 +105,9 @@ def test_resource_guard_counts_the_checkpoint_wins(monkeypatch):
 
 def record_cumprod(monkeypatch, tile_paths=None) -> list:
     """Record the (steps, paths) of each tile whose wealth `cumprod` takes
-    down its paths, with `_TILE_PATHS` set to `tile_paths` if one is given;
-    every other tile that writes wealth runs the row loop."""
+    down its paths, with `_TILE_PATHS` and `_ROW_LOOP_PATHS` set to
+    `tile_paths` if one is given; every other tile that writes wealth runs
+    the row loop."""
     calls = []
     cumprod = np.cumprod
 
@@ -116,6 +117,7 @@ def record_cumprod(monkeypatch, tile_paths=None) -> list:
 
     if tile_paths is not None:
         monkeypatch.setattr(martingale_lab, "_TILE_PATHS", tile_paths)
+        monkeypatch.setattr(martingale_lab, "_ROW_LOOP_PATHS", tile_paths)
     monkeypatch.setattr(martingale_lab.np, "cumprod", recording_cumprod)
     return calls
 
@@ -125,16 +127,16 @@ def record_chunks(monkeypatch) -> list:
     calls = []
     simulate_chunk = martingale_lab._simulate_chunk
 
-    def recording_chunk(batch, start, stop, tile):
+    def recording_chunk(batch, start, stop, tile, stream):
         calls.append((stop - start, tile))
-        return simulate_chunk(batch, start, stop, tile)
+        return simulate_chunk(batch, start, stop, tile, stream)
 
     monkeypatch.setattr(martingale_lab, "_simulate_chunk", recording_chunk)
     return calls
 
 
-# _TILE_PATHS that forces each recursion on every chunk: the row loop
-# ("step-major") or cumprod down each path ("along-path")
+# _TILE_PATHS and _ROW_LOOP_PATHS that force each recursion on every chunk:
+# the row loop ("step-major") or cumprod down each path ("along-path")
 PASSES = {"step-major": 1, "along-path": 10**9}
 
 
@@ -158,9 +160,9 @@ def test_simulate_peak_memory_is_bounded_per_path_step():
 @pytest.mark.parametrize("cfg, cumprods", [
     # 836-path chunks, each in one tile: the row loop
     (SimConfig(w0=1.0, p=0.52, F=0.04, N=500, paths=2000, seed=1), []),
-    # one 200-path chunk in 2 273-step tiles: cumprod
-    (SimConfig(w0=1.0, p=0.52, F=0.04, N=5000, paths=200, seed=1),
-     [(2273, 200), (2273, 200), (454, 200)]),
+    # one 128-path chunk in 3 584-step tiles: cumprod
+    (SimConfig(w0=1.0, p=0.52, F=0.04, N=5000, paths=128, seed=1),
+     [(3584, 128), (1416, 128)]),
 ], ids=["step-major", "along-path"])
 def test_each_pass_peak_memory_is_bounded_per_path_step(monkeypatch, cfg, cumprods):
     # either recursion keeps 9 B a path-step: the (tile, paths) outcome
@@ -316,6 +318,165 @@ def test_path_k_draws_numpy_substream_seed_k(threads):
     assert batch.wins.tolist() == oracle
 
 
+# seeds of one, two and three 32-bit words
+LANE_SEEDS = {"one-word": 7, "two-words": 2**32 + 5, "three-words": 2**70}
+
+# p where p * 2^53 is 0, below 1, an integer (1/2, 0.52, 3/4) and 2^53 - 1 or 2^53
+LANE_PS = {"zero": 0.0, "subnormal": 5e-324, "half": 0.5, "0.52": 0.52, "three-quarters": 0.75,
+           "below-one": 1 - 2**-53, "one": 1.0}
+
+
+def lane_ps(seed: int, N: int) -> list[float]:
+    """LANE_PS, and two p that only the exact threshold reads right: a draw
+    of path 0 below 1/2, m * 2^-53, which `random() < p` rejects and `<=`
+    would take, and (m + 1/2) * 2^-53, whose ceil(p * 2^53) is m + 1 where
+    a floor would reject the draw."""
+    u = min(np.random.default_rng((seed, 0)).random(N))
+    assert u < 0.5
+    return [*LANE_PS.values(), u, u + 2**-54]
+
+
+def numpy_outcomes(seed: int, paths: int, N: int, p: float) -> np.ndarray:
+    """(paths, N) table of path k's `default_rng((seed, k)).random(N) < p`."""
+    return np.array([np.random.default_rng((seed, k)).random(N) < p for k in range(paths)])
+
+
+def outcome_table(batch) -> np.ndarray:
+    """Per-step outcomes of a batch summarised at every step."""
+    return np.diff(batch.checkpoint_wins, axis=1, prepend=0) == 1
+
+
+def record_lanes(monkeypatch) -> list:
+    """Record the (steps, paths) of each tile drawn in uint64 lanes."""
+    calls = []
+    draw_lanes = martingale_lab._draw_lanes
+
+    def recording_lanes(lanes, won, p):
+        calls.append(won.shape)
+        return draw_lanes(lanes, won, p)
+
+    monkeypatch.setattr(martingale_lab, "_draw_lanes", recording_lanes)
+    return calls
+
+
+@pytest.mark.parametrize("seed", LANE_SEEDS.values(), ids=LANE_SEEDS.keys())
+def test_lanes_draw_numpys_outcomes(seed):
+    # the lanes step each path's PCG64 themselves: their outcome table is
+    # NumPy's random() < p, bit for bit, and they end on the state that
+    # path's generator reaches after its N draws
+    paths, N = 300, 12
+    for p in lane_ps(seed, N):
+        lanes = _pcg64_states(seed, 0, paths).T.copy()
+        won = np.empty((N, paths), dtype=bool)
+        martingale_lab._draw_lanes(lanes, won, p)
+        assert np.array_equal(won.T, numpy_outcomes(seed, paths, N, p)), p
+    gens = [np.random.default_rng((seed, k)) for k in range(paths)]
+    for gen in gens:
+        gen.random(N)
+    assert state_inc(lanes.T) == [(g.bit_generator.state["state"]["state"],
+                                   g.bit_generator.state["state"]["inc"]) for g in gens]
+
+
+@pytest.mark.parametrize("seed", LANE_SEEDS.values(), ids=LANE_SEEDS.keys())
+def test_lane_route_keeps_the_bytes(monkeypatch, seed):
+    # 32-path chunks in 7-step tiles, drawn one path at a time and then
+    # forced into lanes, which carry each path's state from tile to tile:
+    # the outcome table is NumPy's and every batch array is the same, at
+    # each p of lane_ps
+    paths, N = 64, 20
+    cps = tuple(range(1, N + 1))
+    monkeypatch.setattr(martingale_lab, "_TILE_PATHS", 32)
+    monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", tile_budget(32, 7))
+    chunks = record_chunks(monkeypatch)
+    tiles = record_lanes(monkeypatch)
+    for p in lane_ps(seed, N):
+        cfg = SimConfig(w0=1.0, p=p, F=0.25, N=N, paths=paths, seed=seed)
+        batches = []
+        for max_steps, paths_per_step in ((0, 0), (N, 0)):
+            monkeypatch.setattr(martingale_lab, "_LANE_MAX_STEPS", max_steps)
+            monkeypatch.setattr(martingale_lab, "_LANE_PATHS_PER_STEP", paths_per_step)
+            chunks.clear()
+            tiles.clear()
+            batches.append(simulate(cfg, checkpoints=cps))
+            assert chunks == [(32, 7)] * 2
+        assert tiles == [(7, 32), (7, 32), (6, 32)] * 2
+        loop, lanes = batches
+        assert np.array_equal(outcome_table(lanes), numpy_outcomes(seed, paths, N, p)), p
+        for field in ("wins", "checkpoint_wins", "checkpoint_wealth", "checkpoint_running_max"):
+            assert np.array_equal(getattr(lanes, field), getattr(loop, field)), (p, field)
+
+
+def test_one_batch_takes_both_routes(monkeypatch):
+    # 400-path chunks at N = 10 are drawn in lanes and the last 100 paths,
+    # under 30 a step, one at a time; the batch reads as the per-path route
+    seed, paths, N = 2**32 + 5, 900, 10
+    monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", 400 * (9 * N + 512))
+    chunks = record_chunks(monkeypatch)
+    tiles = record_lanes(monkeypatch)
+    for p in lane_ps(seed, N):
+        chunks.clear()
+        tiles.clear()
+        batch = simulate(SimConfig(w0=1.0, p=p, F=0.5, N=N, paths=paths, seed=seed),
+                         checkpoints=tuple(range(1, N + 1)))
+        assert chunks == [(400, N), (400, N), (100, N)]
+        assert tiles == [(N, 400), (N, 400)]
+        assert np.array_equal(outcome_table(batch), numpy_outcomes(seed, paths, N, p)), p
+    # and its wealth is the per-path route's
+    monkeypatch.setattr(martingale_lab, "_LANE_MAX_STEPS", 0)
+    loop = simulate(batch.config, checkpoints=batch.checkpoints)
+    for field in ("wins", "checkpoint_wins", "checkpoint_wealth", "checkpoint_running_max"):
+        assert np.array_equal(getattr(batch, field), getattr(loop, field)), field
+
+
+# (N, paths, checkpoints, lanes): a chunk of at least 30 paths a step of a
+# horizon of at most 64 steps is drawn in lanes, here at both sides of each
+# cut. mc_wide's chunks are lanes; mc_long, verify --quick's shared batch
+# and the 200-path batch of its Doob row, and the shapes of
+# test_unknown_state_layout_raises draw one path at a time
+ROUTE_SHAPES = {
+    "mc_wide": (50, 100_000, (), True),
+    "at-both-cuts": (64, 1920, None, True),
+    "past-the-horizon-cut": (65, 100_000, (), False),
+    "under-the-width-cut": (64, 1919, None, False),
+    "one-step": (1, 30, None, True),
+    "one-step-narrow": (1, 29, None, False),
+    "mc_long": (5000, 2000, (), False),
+    "verify-quick-shared": (300, 20_000, (), False),
+    "verify-doob": (20, 200, None, False),
+    "layout-test": (64, 500, None, False),
+    "layout-test-cli": (10, 200, None, False),
+}
+
+
+@pytest.mark.parametrize("N, paths, checkpoints, lanes", ROUTE_SHAPES.values(),
+                         ids=ROUTE_SHAPES.keys())
+def test_route_follows_the_measured_crossover(monkeypatch, N, paths, checkpoints, lanes):
+    chunks = record_chunks(monkeypatch)
+    tiles = record_lanes(monkeypatch)
+    simulate(SimConfig(w0=1.0, p=0.52, F=0.04, N=N, paths=paths, seed=1), checkpoints)
+    assert tiles == ([(tile, width) for width, tile in chunks] if lanes else [])
+
+
+def test_one_generator_a_simulate_call(monkeypatch):
+    # five chunks of one path at a time build and probe one generator
+    # between them; a call whose chunks are all lanes builds none
+    probes = []
+    pcg64_words = martingale_lab._pcg64_words
+
+    def counting_words(bit_gen):
+        probes.append(bit_gen)
+        return pcg64_words(bit_gen)
+
+    monkeypatch.setattr(martingale_lab, "_pcg64_words", counting_words)
+    chunks = record_chunks(monkeypatch)
+    simulate(SimConfig(w0=1.0, p=0.52, F=0.04, N=500, paths=4100, seed=3))
+    assert len(chunks) == 5
+    assert len(probes) == 1
+    probes.clear()
+    simulate(SimConfig(w0=1.0, p=0.52, F=0.04, N=40, paths=4100, seed=3))
+    assert probes == []
+
+
 KERNEL_CONFIGS = {
     "growth": small_config(N=100, paths=30),
     "decay": small_config(N=100, paths=30, p=0.45, F=0.5),
@@ -415,7 +576,7 @@ def test_checkpoint_columns_are_the_runs_of_their_horizons(monkeypatch, name, bu
 def test_both_passes_keep_the_kernel_bytes(monkeypatch, name):
     # every batch array, the checkpoint win counts included, is the same
     # from either recursion, at the default checkpoints, one inside the
-    # horizon and the first and last steps. A chunk of exactly _TILE_PATHS
+    # horizon and the first and last steps. A chunk of exactly _ROW_LOOP_PATHS
     # paths runs the row loop and one a path narrower runs cumprod, on the
     # same one-tile chunk; a count-only draw runs neither
     cfg = KERNEL_CONFIGS[name]
@@ -425,7 +586,7 @@ def test_both_passes_keep_the_kernel_bytes(monkeypatch, name):
     for checkpoints in (None, (25, 60, 99), (1,), (1, 100), ()):
         batches = []
         for tile_paths in (cfg.paths, cfg.paths + 1):
-            monkeypatch.setattr(martingale_lab, "_TILE_PATHS", tile_paths)
+            monkeypatch.setattr(martingale_lab, "_ROW_LOOP_PATHS", tile_paths)
             calls.clear()
             batches.append(simulate(cfg, checkpoints=checkpoints))
             last = batches[-1].checkpoints[-1] if checkpoints != () else 0
@@ -436,6 +597,7 @@ def test_both_passes_keep_the_kernel_bytes(monkeypatch, name):
     chunks = record_chunks(monkeypatch)
     for chunk, tile in ((2, cfg.N), (1, 37)):
         monkeypatch.setattr(martingale_lab, "_TILE_PATHS", chunk)
+        monkeypatch.setattr(martingale_lab, "_ROW_LOOP_PATHS", chunk)
         monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", tile_budget(chunk, tile))
         chunks.clear()
         calls.clear()
@@ -448,23 +610,26 @@ def test_both_passes_keep_the_kernel_bytes(monkeypatch, name):
 
 def test_prefix_contract_holds_across_passes(monkeypatch):
     # the horizon-2000 batch runs in two 1 763-step tiles, a 256-path chunk
-    # on the row loop and a 244-path one on cumprod, while its own run of
-    # horizon 50 is one chunk and that of horizon 1000 holds its horizon in
-    # one tile (a 440-path chunk on the row loop, a 60-path one on cumprod);
-    # the column at I is still bit for bit the run of horizon I
+    # and a 244-path one, both on the row loop, while its own run of horizon
+    # 50 is one chunk and that of horizon 1000 holds its horizon in one tile
+    # (a 440-path chunk on the row loop, a 60-path one on cumprod); the
+    # column at I is still bit for bit the run of horizon I
     chunks = record_chunks(monkeypatch)
     calls = record_cumprod(monkeypatch)
     cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=2000, paths=500, seed=3)
     cps = (50, 1000, 1900)
     batch = simulate(cfg, checkpoints=cps)
     assert chunks == [(256, 1763), (244, 1763)]
-    assert calls == [(1763, 244), (137, 244)]
+    assert calls == []
     own_chunks = {50: [(500, 50)], 1000: [(440, 1000), (60, 1000)],
                   1900: [(256, 1763), (244, 1763)]}
+    own_cumprods = {50: [], 1000: [(1000, 60)], 1900: []}
     for j, c in enumerate(cps):
         chunks.clear()
+        calls.clear()
         own = simulate(replace(cfg, N=c))
         assert chunks == own_chunks[c]
+        assert calls == own_cumprods[c]
         assert np.array_equal(batch.checkpoint_wealth[:, j], own.checkpoint_wealth[:, -1])
         assert np.array_equal(batch.checkpoint_running_max[:, j], own.checkpoint_running_max[:, -1])
         assert np.array_equal(batch.checkpoint_wins[:, j], own.checkpoint_wins[:, -1])
@@ -580,6 +745,7 @@ def test_each_stream_continues_across_tiles(monkeypatch, paths, N, checkpoints, 
     cfg = SimConfig(w0=1.0, p=0.52, F=0.04, N=N, paths=paths, seed=13)
     if tile_paths is not None:
         monkeypatch.setattr(martingale_lab, "_TILE_PATHS", tile_paths)
+        monkeypatch.setattr(martingale_lab, "_ROW_LOOP_PATHS", tile_paths)
     if budget is not None:
         monkeypatch.setattr(martingale_lab, "_CHUNK_BYTES", budget)
     calls = record_chunks(monkeypatch)
