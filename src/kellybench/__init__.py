@@ -7,6 +7,7 @@ Library layout:
 - utility_kelly: log-growth utility, Kelly point, break-even root, regime partition
 - risk_metrics: the law of W(N) in closed form (g, E[W(N)], ruin, Doob, variance, trade-off)
 - martingale_lab: the seeded sampler of W(N) and the checks that read its batches
+- stream: path k's outcomes default_rng((seed, k)).random(N) < p, a chunk at a time
 - cli: the `kellybench` command (analyze / simulate / tradeoff / verify)
 
 Every name below is exported from the package but loaded from its module on

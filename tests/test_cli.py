@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import kellybench
-from kellybench import cli, martingale_lab, utility
+from kellybench import cli, stream, utility
 from kellybench.cli import main
 
 SIM_ARGS = ["--p", "0.52", "--kelly", "--n", "128", "--paths", "600", "--seed", "7"]
@@ -590,7 +590,7 @@ _NO_SCIPY_CHILD = """
 import sys
 import kellybench.cli
 kellybench.cli.build_parser()
-heavy = ("numpy", "kellybench.martingale_lab", "kellybench.verify")
+heavy = ("numpy", "kellybench.martingale_lab", "kellybench.stream", "kellybench.verify")
 assert not [m for m in heavy if m in sys.modules], [m for m in heavy if m in sys.modules]
 from kellybench.cli import main
 out = sys.argv[1]
@@ -844,7 +844,7 @@ def test_lane_route_never_probes_the_state_layout(tmp_path, monkeypatch):
     def no_probe(bit_gen):
         raise AssertionError("the lane route probed PCG64's state layout")
 
-    monkeypatch.setattr(martingale_lab, "_pcg64_words", no_probe)
+    monkeypatch.setattr(stream, "_pcg64_words", no_probe)
     argv, pins = PINNED_CSVS["simulate-chunks"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
     written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.glob("*.csv")}

@@ -72,3 +72,21 @@ def test_input_rules_give_numpys_values():
             _check_count(not_a_count, "count")
     assert _fmt(np.int64(5)) == "5"
     assert _fmt(np.bool_(True)) == "1"
+
+
+def test_martingale_lab_leaves_the_stream_to_its_module():
+    # the sampler reads only the stream's outcome tables: it binds no ctypes,
+    # no PCG64 or lane function and no SeedSequence or PCG64 constant, by
+    # name or by value; NumPy imports ctypes itself, so sys.modules says nothing
+    from kellybench import martingale_lab, stream
+
+    names = vars(martingale_lab)
+    assert "ctypes" not in names
+    assert not [n for n in names if n.lower().startswith("_pcg64")]
+    assert "_draw_lanes" not in names and "_step" not in names
+    constants = {"_MASK32", "_POOL_SIZE", "_INIT_A", "_MULT_A", "_INIT_B", "_MULT_B",
+                 "_MIX_MULT_L", "_MIX_MULT_R", "_XSHIFT", "_MULT_HI", "_MULT_LO"}
+    assert constants <= vars(stream).keys()
+    assert not constants & names.keys()
+    values = {vars(stream)[c] for c in constants} - {4, 16}  # the pool size and shift
+    assert not [n for n, v in names.items() if type(v) is int and v in values]

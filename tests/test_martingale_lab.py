@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellybench import (
     ApproximationDomainError,
@@ -30,9 +32,9 @@ from kellybench import (
     ruin_probability_full_stake,
     simulate,
 )
-from kellybench import martingale_lab
+from kellybench import martingale_lab, stream
 from kellybench.cli import main
-from kellybench.martingale_lab import _pcg64_states
+from kellybench.stream import _pcg64_states
 
 
 def small_config(**overrides) -> SimConfig:
@@ -123,15 +125,17 @@ def record_cumprod(monkeypatch, tile_paths=None) -> list:
 
 
 def record_chunks(monkeypatch) -> list:
-    """Record the (paths, tile) of each chunk that `simulate` runs."""
+    """Record the (paths, tile) of each chunk that `simulate` runs, as it
+    asks the stream for the chunk's outcome tables (`_simulate_chunk` sees
+    only the tables)."""
     calls = []
-    simulate_chunk = martingale_lab._simulate_chunk
+    tables = stream.Outcomes.tables
 
-    def recording_chunk(batch, start, stop, tile, stream):
+    def recording_tables(self, start, stop, tile):
         calls.append((stop - start, tile))
-        return simulate_chunk(batch, start, stop, tile, stream)
+        return tables(self, start, stop, tile)
 
-    monkeypatch.setattr(martingale_lab, "_simulate_chunk", recording_chunk)
+    monkeypatch.setattr(stream.Outcomes, "tables", recording_tables)
     return calls
 
 
@@ -281,10 +285,10 @@ def test_pcg64_states_peak_does_not_grow_with_the_seed():
 
 @pytest.mark.parametrize("seed", ORACLE_SEEDS.values(), ids=ORACLE_SEEDS.keys())
 def test_written_words_are_numpys_state(seed):
-    # the words that _simulate_chunk writes read back, through NumPy's own state
+    # the words that Outcomes.tables writes read back, through NumPy's own state
     # property, as the state of path k's default_rng
     bit_gen = np.random.PCG64()
-    words, layout = martingale_lab._pcg64_words(bit_gen)
+    words, layout = stream._pcg64_words(bit_gen)
     for k in ORACLE_KS:
         words[:] = _pcg64_states(seed, k, k + 1)[0, layout]
         assert bit_gen.state == np.random.default_rng((seed, k)).bit_generator.state
@@ -292,11 +296,11 @@ def test_written_words_are_numpys_state(seed):
 
 def test_unknown_state_layout_raises(monkeypatch, tmp_path, capsys):
     # with the real layout taken out, the probe finds none and nothing draws
-    real = martingale_lab._pcg64_words(np.random.PCG64())[1]
-    others = {name: layout for name, layout in martingale_lab._PCG64_LAYOUTS.items()
+    real = stream._pcg64_words(np.random.PCG64())[1]
+    others = {name: layout for name, layout in stream._PCG64_LAYOUTS.items()
               if layout != real}
-    assert len(others) == len(martingale_lab._PCG64_LAYOUTS) - 1
-    monkeypatch.setattr(martingale_lab, "_PCG64_LAYOUTS", others)
+    assert len(others) == len(stream._PCG64_LAYOUTS) - 1
+    monkeypatch.setattr(stream, "_PCG64_LAYOUTS", others)
     for checkpoints in (None, ()):
         with pytest.raises(KellyBenchError, match="none of the known layouts"):
             simulate(small_config(), checkpoints=checkpoints)
@@ -349,13 +353,13 @@ def outcome_table(batch) -> np.ndarray:
 def record_lanes(monkeypatch) -> list:
     """Record the (steps, paths) of each tile drawn in uint64 lanes."""
     calls = []
-    draw_lanes = martingale_lab._draw_lanes
+    draw_lanes = stream._draw_lanes
 
     def recording_lanes(lanes, won, p):
         calls.append(won.shape)
         return draw_lanes(lanes, won, p)
 
-    monkeypatch.setattr(martingale_lab, "_draw_lanes", recording_lanes)
+    monkeypatch.setattr(stream, "_draw_lanes", recording_lanes)
     return calls
 
 
@@ -368,7 +372,7 @@ def test_lanes_draw_numpys_outcomes(seed):
     for p in lane_ps(seed, N):
         lanes = _pcg64_states(seed, 0, paths).T.copy()
         won = np.empty((N, paths), dtype=bool)
-        martingale_lab._draw_lanes(lanes, won, p)
+        stream._draw_lanes(lanes, won, p)
         assert np.array_equal(won.T, numpy_outcomes(seed, paths, N, p)), p
     gens = [np.random.default_rng((seed, k)) for k in range(paths)]
     for gen in gens:
@@ -393,8 +397,8 @@ def test_lane_route_keeps_the_bytes(monkeypatch, seed):
         cfg = SimConfig(w0=1.0, p=p, F=0.25, N=N, paths=paths, seed=seed)
         batches = []
         for max_steps, paths_per_step in ((0, 0), (N, 0)):
-            monkeypatch.setattr(martingale_lab, "_LANE_MAX_STEPS", max_steps)
-            monkeypatch.setattr(martingale_lab, "_LANE_PATHS_PER_STEP", paths_per_step)
+            monkeypatch.setattr(stream, "_LANE_MAX_STEPS", max_steps)
+            monkeypatch.setattr(stream, "_LANE_PATHS_PER_STEP", paths_per_step)
             chunks.clear()
             tiles.clear()
             batches.append(simulate(cfg, checkpoints=cps))
@@ -422,7 +426,7 @@ def test_one_batch_takes_both_routes(monkeypatch):
         assert tiles == [(N, 400), (N, 400)]
         assert np.array_equal(outcome_table(batch), numpy_outcomes(seed, paths, N, p)), p
     # and its wealth is the per-path route's
-    monkeypatch.setattr(martingale_lab, "_LANE_MAX_STEPS", 0)
+    monkeypatch.setattr(stream, "_LANE_MAX_STEPS", 0)
     loop = simulate(batch.config, checkpoints=batch.checkpoints)
     for field in ("wins", "checkpoint_wins", "checkpoint_wealth", "checkpoint_running_max"):
         assert np.array_equal(getattr(batch, field), getattr(loop, field)), field
@@ -461,13 +465,13 @@ def test_one_generator_a_simulate_call(monkeypatch):
     # five chunks of one path at a time build and probe one generator
     # between them; a call whose chunks are all lanes builds none
     probes = []
-    pcg64_words = martingale_lab._pcg64_words
+    pcg64_words = stream._pcg64_words
 
     def counting_words(bit_gen):
         probes.append(bit_gen)
         return pcg64_words(bit_gen)
 
-    monkeypatch.setattr(martingale_lab, "_pcg64_words", counting_words)
+    monkeypatch.setattr(stream, "_pcg64_words", counting_words)
     chunks = record_chunks(monkeypatch)
     simulate(SimConfig(w0=1.0, p=0.52, F=0.04, N=500, paths=4100, seed=3))
     assert len(chunks) == 5
@@ -475,6 +479,56 @@ def test_one_generator_a_simulate_call(monkeypatch):
     probes.clear()
     simulate(SimConfig(w0=1.0, p=0.52, F=0.04, N=40, paths=4100, seed=3))
     assert probes == []
+
+
+# PCG64's 128-bit multiplier as O'Neill's reference code states it
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+LIMB = 2**64 - 1
+
+
+def shared_step(pairs: list[tuple[int, int]]) -> list[int]:
+    """Each (state, inc) stepped once by the seeding's and the lanes' one
+    step, one column a pair; the inc words must come back unchanged."""
+    words = [[s & LIMB, s >> 64, i & LIMB, i >> 64] for s, i in pairs]
+    lanes = np.array(words, dtype=np.uint64).T.copy()
+    inc_lo = lanes[2].copy()
+    scratch = [np.empty_like(inc_lo) for _ in range(4)]
+    stream._step(tuple(lanes), (inc_lo & 0xFFFFFFFF, inc_lo >> 32), scratch)
+    assert lanes[2:].T.tolist() == [w[2:] for w in words]
+    return [int(lo) | int(hi) << 64 for lo, hi in zip(lanes[0], lanes[1])]
+
+
+# (state, inc) where a partial sum or a limb carries: an all-ones low limb,
+# inc_lo all ones, inc = 1, all-ones words, the 32-bit halves at their top,
+# and state * MULT = 2^128 - 1, where only inc's lowest bit carries into the
+# high limb
+STEP_EDGES = {
+    "wraps-to-zero": (-pow(PCG64_MULT, -1, 2**128) % 2**128, 1),
+    "state-lo-all-ones": (2**64 - 1, 2 * 12345 + 1),
+    "inc-lo-all-ones": (2**100 + 7, 2**64 - 1),
+    "both-lo-all-ones": (2**64 - 1, 2**64 - 1),
+    "inc-one": (2**128 - 2**64 + 5, 1),
+    "all-ones": (2**128 - 1, 2**128 - 1),
+    "zero-state": (0, 2**128 - 1),
+    "lo-halves-top": (2**128 - 2**32, 2**64 - 2**32 + 1),
+    "state-is-mult": (PCG64_MULT, PCG64_MULT),
+}
+
+
+@pytest.mark.parametrize("state, inc", STEP_EDGES.values(), ids=STEP_EDGES.keys())
+def test_step_is_the_lcg_step_at_carry_edges(state, inc):
+    want = (state * PCG64_MULT + inc) % 2**128
+    assert shared_step([(state, inc)]) == [want]
+    # and in a column among others, which share nothing with it
+    pairs = [*STEP_EDGES.values()]
+    assert shared_step(pairs) == [(s * PCG64_MULT + i) % 2**128 for s, i in pairs]
+
+
+@given(pairs=st.lists(st.tuples(st.integers(0, 2**128 - 1), st.integers(0, 2**128 - 1)),
+                      min_size=1, max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_step_matches_python_integers(pairs):
+    assert shared_step(pairs) == [(s * PCG64_MULT + i) % 2**128 for s, i in pairs]
 
 
 KERNEL_CONFIGS = {
